@@ -127,7 +127,7 @@ BM_CampaignPoint(benchmark::State &state)
     opt.mitigation.writeVerifyRetries = 2;
     opt.mitigation.spareRows = 4;
     for (auto _ : state) {
-        // Vary the seed so the cache cannot short-circuit the work.
+        // A fresh fault seed per iteration: every run is a new campaign.
         opt.fault.seed = std::uint64_t(state.iterations());
         const auto result = reliability::runCampaign(opt);
         benchmark::DoNotOptimize(result.trialsRun);

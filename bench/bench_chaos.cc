@@ -9,7 +9,7 @@
  * subject is timed chaos-off (isa "scalar") and with the full chaos
  * stack -- failures, retries, deadline, queue cap -- enabled (isa
  * "serving"), interleaved at repetition granularity so host drift
- * cancels in the ratio the gate compares. Both arms run cache-off.
+ * cancels in the ratio the gate compares.
  * The committed baseline (bench/baselines/BENCH_chaos.json) pins the
  * relative cost; bench_compare --relative-to-scalar fails a
  * confirmed >15% regression of it.
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench_json.hh"
-#include "common/cache.hh"
 #include "common/env.hh"
 #include "serving/simulator.hh"
 
@@ -170,9 +169,8 @@ main(int argc, char **argv)
     const std::string jsonPath =
         inca::bench::extractJsonPath(argc, argv);
     std::printf("=== chaos-layer overhead (warmup %d, reps %d, "
-                "trim %d, cache off) ===\n",
+                "trim %d) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);
-    inca::setCacheEnabled(false);
     inca::runChaosBench();
     if (!jsonPath.empty())
         inca::bench::JsonReport::instance().write(jsonPath);

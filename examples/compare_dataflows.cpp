@@ -83,8 +83,8 @@ main(int argc, char **argv)
     std::printf("gains are baseline/INCA (>1 means INCA wins). The "
                 "paper's Fig. 11/14/15 shapes: INCA ahead everywhere, "
                 "training >> inference, light models >> heavy.\n");
-    // Timing and cache stats go to stderr so stdout stays byte-equal
-    // between cached, uncached, and any-thread-count runs.
+    // Timing goes to stderr so stdout stays byte-equal at any thread
+    // count.
     sim::printPhaseTimes(stderr);
     if (!jsonPath.empty())
         bench::JsonReport::instance().write(jsonPath);

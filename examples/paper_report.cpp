@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "arch/area.hh"
 #include "arch/endurance.hh"
@@ -30,7 +31,8 @@ namespace {
 
 using namespace inca;
 
-void
+/** Returns the INCA training runs, which the GPU section reuses. */
+std::vector<arch::RunCost>
 headlineSection(std::ostringstream &md,
                 const core::IncaEngine &inca,
                 const baseline::BaselineEngine &base)
@@ -44,12 +46,14 @@ headlineSection(std::ostringstream &md,
     md << "| network | eff. inf (paper) | eff. trn (paper) | "
           "speedup inf (paper) | speedup trn (paper) |\n";
     md << "|---|---|---|---|---|\n";
+    std::vector<arch::RunCost> incaTraining;
     const auto suite = nn::evaluationSuite();
     for (size_t i = 0; i < suite.size(); ++i) {
         const auto inf = sim::compare(inca, base, suite[i], 64,
                                       arch::Phase::Inference);
         const auto trn = sim::compare(inca, base, suite[i], 64,
                                       arch::Phase::Training);
+        incaTraining.push_back(trn.inca);
         char row[256];
         std::snprintf(row, sizeof(row),
                       "| %s | %.1fx (%.1fx) | %.0fx (%.0fx) | "
@@ -62,6 +66,7 @@ headlineSection(std::ostringstream &md,
         md << row;
     }
     md << "\n";
+    return incaTraining;
 }
 
 void
@@ -136,7 +141,8 @@ utilizationSection(std::ostringstream &md)
 }
 
 void
-gpuSection(std::ostringstream &md, const core::IncaEngine &inca)
+gpuSection(std::ostringstream &md,
+           const std::vector<arch::RunCost> &incaTraining)
 {
     md << "## GPU comparison (Fig. 15, training)\n\n";
     md << "| network | energy-eff gain | iso-area gain "
@@ -145,12 +151,13 @@ gpuSection(std::ostringstream &md, const core::IncaEngine &inca)
     const double incaAreaMm2 =
         arch::incaArea(arch::paperInca()).total() * 1e6;
     const double gpuAreaMm2 = titan.spec().dieArea * 1e6;
-    for (const auto &net : nn::evaluationSuite()) {
-        const auto i = inca.training(net, 64);
-        const auto g = titan.training(net, 64);
+    const auto suite = nn::evaluationSuite();
+    for (size_t n = 0; n < suite.size(); ++n) {
+        const arch::RunCost &i = incaTraining[n];
+        const auto g = titan.training(suite[n], 64);
         char line[160];
         std::snprintf(line, sizeof(line), "| %s | %.0fx | %.0fx |\n",
-                      net.name.c_str(),
+                      suite[n].name.c_str(),
                       (g.energy / 64.0) / i.energyPerImage(),
                       (i.throughput() / incaAreaMm2) /
                           (g.throughput(64) / gpuAreaMm2));
@@ -179,12 +186,13 @@ main(int argc, char **argv)
           "for the full per-figure discussion (incl. the accuracy "
           "studies, which train live and are reported by "
           "bench_table1/bench_table6).\n\n";
-    headlineSection(md, inca, base);
+    const std::vector<arch::RunCost> incaTraining =
+        headlineSection(md, inca, base);
     accessSection(md);
     footprintSection(md);
     areaSection(md);
     utilizationSection(md);
-    gpuSection(md, inca);
+    gpuSection(md, incaTraining);
 
     sim::writeFile(path, md.str());
     std::printf("wrote %s (%zu bytes)\n", path.c_str(),

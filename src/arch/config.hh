@@ -151,13 +151,17 @@ IncaConfig incaFromConfig(const class Config &cfg);
 /** Table II baseline chip with "[baseline]" section overrides. */
 BaselineConfig baselineFromConfig(const class Config &cfg);
 
-/** Append every field of @p org to @p key (cache canonicalization). */
+/** Append every field of @p org to @p key (config-key hash). */
 void appendKey(CacheKey &key, const ChipOrganization &org);
 
-/** Append every field of @p c to @p key (cache canonicalization). */
+/**
+ * Append every field of @p c to @p key. The key's hash is the
+ * configKeyHash that ties exported runs, frontier rows and journal
+ * signatures back to the exact design point.
+ */
 void appendKey(CacheKey &key, const IncaConfig &c);
 
-/** Append every field of @p c to @p key (cache canonicalization). */
+/** Append every field of @p c to @p key (see the IncaConfig one). */
 void appendKey(CacheKey &key, const BaselineConfig &c);
 
 } // namespace arch

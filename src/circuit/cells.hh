@@ -62,10 +62,10 @@ struct Cell2T1R
     }
 };
 
-/** Append every field of @p c to @p key (cache canonicalization). */
+/** Append every field of @p c to @p key (config-key hash). */
 void appendKey(CacheKey &key, const Cell1T1R &c);
 
-/** Append every field of @p c to @p key (cache canonicalization). */
+/** Append every field of @p c to @p key (config-key hash). */
 void appendKey(CacheKey &key, const Cell2T1R &c);
 
 } // namespace circuit

@@ -47,7 +47,7 @@ DigitalModel makeDigital();
 Joules adderTreeEnergy(const DigitalModel &m, double leaves,
                        bool wide = true);
 
-/** Append every field of @p m to @p key (cache canonicalization). */
+/** Append every field of @p m to @p key (config-key hash). */
 void appendKey(CacheKey &key, const DigitalModel &m);
 
 } // namespace circuit

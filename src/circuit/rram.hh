@@ -67,7 +67,7 @@ struct RramDevice
 /** The paper's Table II device. */
 RramDevice paperDevice();
 
-/** Append every field of @p d to @p key (cache canonicalization). */
+/** Append every field of @p d to @p key (config-key hash). */
 void appendKey(CacheKey &key, const RramDevice &d);
 
 } // namespace circuit

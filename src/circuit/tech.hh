@@ -52,7 +52,7 @@ struct TechScaling
 /** The paper's 65 nm -> 22 nm configuration. */
 TechScaling paperScaling();
 
-/** Append every field of @p t to @p key (cache canonicalization). */
+/** Append every field of @p t to @p key (config-key hash). */
 void appendKey(CacheKey &key, const TechScaling &t);
 
 } // namespace circuit

@@ -1,5 +1,7 @@
 #include "common/cache.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdlib>
 
@@ -9,18 +11,39 @@ namespace inca {
 
 namespace {
 
-/** Registry of live caches, in registration order. */
+/**
+ * Live caches in registration order, plus the final stats of caches
+ * destroyed since the last clearAllCaches(), one row per name (so a
+ * process that runs many Explorers keeps one "dse.eval" row).
+ */
 struct Registry
 {
     std::mutex mutex;
-    std::vector<CacheBase *> caches;
+    std::vector<CacheBase *> live;
+    std::vector<CacheStatsSnapshot> retired;
 };
+
+/** Add @p s into the row of the same name in @p rows, or append it. */
+void
+accumulate(std::vector<CacheStatsSnapshot> &rows,
+           const CacheStatsSnapshot &s)
+{
+    for (CacheStatsSnapshot &row : rows) {
+        if (row.name == s.name) {
+            row.hits += s.hits;
+            row.misses += s.misses;
+            row.entries += s.entries;
+            row.missSeconds += s.missSeconds;
+            return;
+        }
+    }
+    rows.push_back(s);
+}
 
 Registry &
 registry()
 {
-    // Leaked on purpose: caches are function-local statics in the
-    // modules that own them and may be touched during static
+    // Leaked on purpose: caches may be destroyed during static
     // destruction; the registry must outlive them all.
     static Registry *r = new Registry;
     return *r;
@@ -60,64 +83,62 @@ setCacheEnabled(bool enabled)
 }
 
 CacheBase::CacheBase(std::string name)
-    : name_(std::move(name)),
-      hits_(metrics::counter("cache." + name_ + ".hit")),
-      misses_(metrics::counter("cache." + name_ + ".miss")),
-      evictions_(metrics::counter("cache." + name_ + ".eviction")),
-      missUs_(metrics::histogram("cache." + name_ + ".miss_us")),
-      traceHits_("cache." + name_ + ".hits"),
+    : name_(std::move(name)), traceHits_("cache." + name_ + ".hits"),
       traceMisses_("cache." + name_ + ".misses")
 {
-    // A fresh cache starts from zero even if an earlier same-named
-    // cache already registered these metrics (test isolation).
-    resetCounters();
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
-    r.caches.push_back(this);
-}
-
-void
-CacheBase::recordHit()
-{
-    hits_.inc();
-    if (trace::enabled())
-        trace::counter(traceHits_, double(hits_.value()));
-}
-
-void
-CacheBase::recordMiss(double seconds)
-{
-    misses_.inc();
-    missUs_.observe(seconds * 1e6);
-    if (trace::enabled())
-        trace::counter(traceMisses_, double(misses_.value()));
-}
-
-void
-CacheBase::recordEviction()
-{
-    evictions_.inc();
-}
-
-void
-CacheBase::resetCounters()
-{
-    hits_.reset();
-    misses_.reset();
-    evictions_.reset();
-    missUs_.reset();
+    r.live.push_back(this);
 }
 
 CacheBase::~CacheBase()
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
-    for (auto it = r.caches.begin(); it != r.caches.end(); ++it) {
-        if (*it == this) {
-            r.caches.erase(it);
-            break;
-        }
-    }
+    r.live.erase(std::find(r.live.begin(), r.live.end(), this));
+    const CacheStatsSnapshot s = stats();
+    if (s.hits + s.misses > 0)
+        accumulate(r.retired, s);
+}
+
+CacheStatsSnapshot
+CacheBase::stats() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    CacheStatsSnapshot s;
+    s.name = name_;
+    s.hits = hits_;
+    s.misses = misses_;
+    s.entries = entries_;
+    s.missSeconds = missSeconds_;
+    return s;
+}
+
+void
+CacheBase::clear()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    clearEntries();
+    hits_ = misses_ = entries_ = 0;
+    missSeconds_ = 0.0;
+}
+
+void
+CacheBase::recordHit()
+{
+    ++hits_;
+    if (trace::enabled())
+        trace::counter(traceHits_, double(hits_));
+}
+
+void
+CacheBase::recordMiss(double seconds, bool inserted)
+{
+    ++misses_;
+    entries_ += inserted ? 1 : 0;
+    missSeconds_ += seconds;
+    if (trace::enabled())
+        trace::counter(traceMisses_, double(misses_));
 }
 
 std::vector<CacheStatsSnapshot>
@@ -125,10 +146,9 @@ cacheStats()
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
-    std::vector<CacheStatsSnapshot> out;
-    out.reserve(r.caches.size());
-    for (const CacheBase *cache : r.caches)
-        out.push_back(cache->stats());
+    std::vector<CacheStatsSnapshot> out = r.retired;
+    for (const CacheBase *cache : r.live)
+        accumulate(out, cache->stats());
     return out;
 }
 
@@ -137,8 +157,9 @@ clearAllCaches()
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
-    for (CacheBase *cache : r.caches)
+    for (CacheBase *cache : r.live)
         cache->clear();
+    r.retired.clear();
 }
 
 } // namespace inca

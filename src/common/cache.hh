@@ -1,33 +1,35 @@
 /**
  * @file
- * Content-addressed memoization for the analytic evaluation paths.
+ * Canonical config keys and the evaluation memo.
  *
- * Design-space sweeps evaluate many design points that share
- * sub-configurations: the same layer shape recurs dozens of times
- * inside one network, the same network is re-simulated at every
- * benchmark iteration, and the circuit/area/footprint models are pure
- * functions of small config structs. An EvalCache memoizes those
- * evaluations so sweeps scale with the number of *unique*
- * (tech, geometry, layer-shape) keys instead of the number of design
- * points.
+ * CacheKey is the canonical byte encoding of a design point's inputs
+ * (arch::appendKey and the circuit/memory overloads it chains). Its
+ * FNV-1a hash is an output, not a lookup detail: it is the
+ * configKeyHash of every exported run and frontier row, the base= term
+ * of the explore signature, and the reliability campaign's
+ * trial-stream base.
  *
- * Correctness contract (and why it is easy to honor):
- *  - Every cached function is a pure function of its canonicalized
- *    inputs. A CacheKey is the full canonical byte string of those
- *    inputs -- the map compares whole keys, never just hashes, so a
- *    hash collision can degrade sharding but never aliasing.
- *  - A hit returns a copy of a value that was produced by the exact
- *    same arithmetic, so cached and uncached runs are bit-identical
- *    at every thread count.
+ * EvalCache is a memo from a caller-defined 64-bit key to a value.
+ * The simulator's only instance is the dse::Explorer's "dse.eval"
+ * memo, keyed by candidate index. That is where the reuse is: an
+ * annealing search re-proposes candidates it has already scored,
+ * while below that grain every evaluation is closed-form arithmetic
+ * that costs less to redo than to key and look up.
+ *
+ * Correctness contract:
+ *  - The owner keeps the memoized computation a pure function of the
+ *    key. A hit returns a copy of the value the miss computed, so
+ *    results are bit-identical with the memo on or off at every thread
+ *    count.
  *  - Two threads that miss the same key concurrently both compute the
  *    (identical) value; the first insert wins. No lock is held while
- *    computing, so the shards compose with the ThreadPool fan-out.
+ *    computing, so the memo composes with the ThreadPool fan-out.
  *
- * The cache is process-wide and ON by default; INCA_CACHE=0 (or
- * "off"/"false"/"no") disables every EvalCache, turning getOrCompute
- * into a plain call. Each cache keeps hit/miss/eviction counters and
- * the wall-clock spent in misses, from which the reports estimate the
- * time the hits saved (see sim::printPhaseTimes).
+ * Memoization is ON by default; INCA_CACHE=0 (or "off"/"false"/"no")
+ * turns getOrCompute into a plain call that records nothing. Each
+ * instance counts its own hits, misses and the wall clock spent in
+ * misses, from which the reports estimate the time the hits saved
+ * (see sim::printPhaseTimes).
  */
 
 #ifndef INCA_COMMON_CACHE_HH
@@ -36,13 +38,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "common/metrics.hh"
 
 namespace inca {
 
@@ -62,11 +61,10 @@ bool cacheEnabledFromEnv(const char *value);
 
 /**
  * Canonical content-addressed key: an append-only byte string plus an
- * incrementally maintained FNV-1a 64-bit hash (used only to pick a
- * shard; equality always compares the full bytes). Each field is
- * prefixed with a one-byte type tag so adjacent fields of different
- * types cannot alias. Append fields in a fixed, documented order --
- * the byte string IS the identity of the computation's inputs.
+ * incrementally maintained FNV-1a 64-bit hash. Each field is prefixed
+ * with a one-byte type tag so adjacent fields of different types
+ * cannot alias. Append fields in a fixed, documented order -- the
+ * byte string IS the identity of the inputs.
  */
 class CacheKey
 {
@@ -99,10 +97,10 @@ class CacheKey
     }
     CacheKey &add(const char *s) { return add(std::string(s)); }
 
-    /** FNV-1a 64 hash of the bytes so far (shard selector). */
+    /** FNV-1a 64 hash of the bytes so far. */
     std::uint64_t hash() const { return hash_; }
 
-    /** The canonical byte string (full map key). */
+    /** The canonical byte string. */
     const std::string &bytes() const { return bytes_; }
 
     bool operator==(const CacheKey &o) const
@@ -138,7 +136,6 @@ struct CacheStatsSnapshot
     std::string name;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     std::uint64_t entries = 0;
     double missSeconds = 0.0; ///< wall clock spent computing misses
 
@@ -159,14 +156,12 @@ struct CacheStatsSnapshot
 };
 
 /**
- * Registry interface every EvalCache implements. The hit/miss/
- * eviction counters and the miss-latency histogram live in the
- * process-wide metrics registry ("cache.<name>.hit" etc.), so
- * metrics::toJson() exports them alongside everything else; this base
- * keeps references and mirrors them into CacheStatsSnapshot for the
- * existing reports. When tracing is on, every hit/miss also samples a
- * trace counter series so cache efficiency is visible on the
- * timeline.
+ * The type-erased half of EvalCache: name, counters, and the
+ * process-wide registry entry behind cacheStats()/clearAllCaches().
+ * Counters belong to the instance, so two live caches of the same
+ * name never reset or share each other's counts. When tracing is on,
+ * every hit/miss also samples a trace counter series
+ * ("cache.<name>.hits" / ".misses").
  */
 class CacheBase
 {
@@ -179,137 +174,86 @@ class CacheBase
 
     const std::string &name() const { return name_; }
 
-    virtual CacheStatsSnapshot stats() const = 0;
+    /** This instance's counters and entry count. */
+    CacheStatsSnapshot stats() const;
 
-    /** Drop every entry and reset counters (test isolation). */
-    virtual void clear() = 0;
+    /** Drop every entry and reset the counters. */
+    void clear();
 
   protected:
+    // Both called with mutex_ held.
     void recordHit();
-    void recordMiss(double seconds);
-    void recordEviction();
-    void resetCounters();
+    void recordMiss(double seconds, bool inserted);
 
-    std::uint64_t hitCount() const { return hits_.value(); }
-    std::uint64_t missCount() const { return misses_.value(); }
-    std::uint64_t evictionCount() const { return evictions_.value(); }
-    double missSecondsTotal() const { return missUs_.sum() / 1e6; }
+    /** Drop the stored values (called with mutex_ held). */
+    virtual void clearEntries() = 0;
+
+    mutable std::mutex mutex_; ///< guards counters and stored values
 
   private:
     std::string name_;
-    metrics::Counter &hits_;
-    metrics::Counter &misses_;
-    metrics::Counter &evictions_;
-    metrics::Histogram &missUs_; ///< per-miss compute time [us]
-    std::string traceHits_;      ///< trace counter-series names
+    std::string traceHits_; ///< trace counter-series names
     std::string traceMisses_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t entries_ = 0;
+    double missSeconds_ = 0.0;
 };
 
-/** Stats of every registered cache, in registration order. */
+/**
+ * Stats per cache name, summed over every live cache and every cache
+ * destroyed since the last clearAllCaches() (each Explorer's memo is
+ * named "dse.eval"), so a driver can report a memo after its owner is
+ * gone.
+ */
 std::vector<CacheStatsSnapshot> cacheStats();
 
-/** Clear every registered cache (differential-test isolation). */
+/** Clear every live cache and forget destroyed ones. */
 void clearAllCaches();
 
 /**
- * A sharded memoization map from CacheKey to V.
- *
- * Values must be copyable; getOrCompute returns by value so callers
- * may freely patch presentation-only fields (e.g. layer names) on the
- * copy. Shards use FIFO eviction once they exceed maxEntriesPerShard,
- * which bounds memory under adversarial sweep sizes while keeping the
- * common sweep (thousands of unique keys) fully resident.
+ * A memo from a 64-bit key to V. Values must be copyable;
+ * getOrCompute returns by value. Holds at most one entry per distinct
+ * key; nothing is ever evicted, so the owner bounds it by bounding
+ * its key set.
  */
 template <typename V>
 class EvalCache : public CacheBase
 {
   public:
-    explicit EvalCache(std::string name,
-                       std::size_t maxEntriesPerShard = 1 << 14,
-                       int shards = 16)
-        : CacheBase(std::move(name)),
-          shards_(std::size_t(shards < 1 ? 1 : shards)),
-          maxPerShard_(maxEntriesPerShard < 1 ? 1 : maxEntriesPerShard)
-    {
-    }
+    using CacheBase::CacheBase;
 
     /**
-     * Return the cached value for @p key, or run @p compute, insert,
+     * Return the stored value for @p key, or run @p compute, store,
      * and return it. With the cache disabled this is exactly
      * compute().
      */
     template <typename Fn>
-    V getOrCompute(const CacheKey &key, Fn &&compute)
+    V getOrCompute(std::uint64_t key, Fn &&compute)
     {
         if (!cacheEnabled())
             return compute();
-        Shard &shard = shards_[key.hash() % shards_.size()];
         {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto it = shard.map.find(key.bytes());
-            if (it != shard.map.end()) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            const auto it = map_.find(key);
+            if (it != map_.end()) {
                 recordHit();
                 return it->second;
             }
         }
         const auto t0 = std::chrono::steady_clock::now();
         V value = compute();
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        recordMiss(seconds);
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            auto [it, inserted] = shard.map.emplace(key.bytes(), value);
-            (void)it;
-            if (inserted) {
-                shard.order.push_back(key.bytes());
-                while (shard.map.size() > maxPerShard_) {
-                    shard.map.erase(shard.order.front());
-                    shard.order.pop_front();
-                    recordEviction();
-                }
-            }
-        }
+        const std::chrono::duration<double> spent =
+            std::chrono::steady_clock::now() - t0;
+        std::lock_guard<std::mutex> lock(mutex_);
+        recordMiss(spent.count(), map_.emplace(key, value).second);
         return value;
     }
 
-    CacheStatsSnapshot stats() const override
-    {
-        CacheStatsSnapshot s;
-        s.name = name();
-        s.hits = hitCount();
-        s.misses = missCount();
-        s.evictions = evictionCount();
-        s.missSeconds = missSecondsTotal();
-        for (const Shard &shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            s.entries += shard.map.size();
-        }
-        return s;
-    }
-
-    void clear() override
-    {
-        for (Shard &shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.map.clear();
-            shard.order.clear();
-        }
-        resetCounters();
-    }
-
   private:
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::unordered_map<std::string, V> map;
-        std::deque<std::string> order; ///< FIFO eviction queue
-    };
+    void clearEntries() override { map_.clear(); }
 
-    std::vector<Shard> shards_;
-    std::size_t maxPerShard_;
+    std::unordered_map<std::uint64_t, V> map_;
 };
 
 } // namespace inca

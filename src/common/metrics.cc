@@ -309,33 +309,30 @@ printText(std::FILE *out)
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
-    auto isCache = [](const std::string &name) {
-        return name.rfind("cache.", 0) == 0;
-    };
     bool any = false;
     for (const Counter *c : r.counters)
-        any = any || (!isCache(c->name()) && c->value() > 0);
+        any = any || c->value() > 0;
     for (const Gauge *g : r.gauges)
-        any = any || (!isCache(g->name()) && g->value() != 0.0);
+        any = any || g->value() != 0.0;
     for (const Histogram *h : r.histograms)
-        any = any || (!isCache(h->name()) && h->count() > 0);
+        any = any || h->count() > 0;
     if (!any)
         return;
     std::fprintf(out, "\nprocess metrics:\n");
     for (const Counter *c : r.counters) {
-        if (isCache(c->name()) || c->value() == 0)
+        if (c->value() == 0)
             continue;
         std::fprintf(out, "  %-40s %12llu\n", c->name().c_str(),
                      (unsigned long long)c->value());
     }
     for (const Gauge *g : r.gauges) {
-        if (isCache(g->name()) || g->value() == 0.0)
+        if (g->value() == 0.0)
             continue;
         std::fprintf(out, "  %-40s %12.4g\n", g->name().c_str(),
                      g->value());
     }
     for (const Histogram *h : r.histograms) {
-        if (isCache(h->name()) || h->count() == 0)
+        if (h->count() == 0)
             continue;
         std::fprintf(out,
                      "  %-40s %12llu obs  mean %10.1f  "

@@ -4,7 +4,7 @@
  * fixed-bucket histograms.
  *
  * Every subsystem that wants an always-on number registers it here by
- * name ("cache.inca.layer.hit", "pool.task_wait_us",
+ * name ("dse.scored", "pool.task_wait_us",
  * "engine.layer_eval_us") and keeps the returned reference; updates
  * are single relaxed atomics, cheap enough to leave enabled in every
  * build. Two renderers consume the registry: sim::printPhaseTimes
@@ -227,8 +227,7 @@ Histogram &histogram(const std::string &name,
 std::string toJson();
 
 /**
- * Human-readable dump of every metric with data, except the cache.*
- * family (printCacheStats already renders those). Used by
+ * Human-readable dump of every metric with data. Used by
  * sim::printPhaseTimes.
  */
 void printText(std::FILE *out);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "arch/area.hh"
 #include "arch/power.hh"
@@ -205,6 +206,13 @@ Explorer::signature() const
 
 Evaluation
 Explorer::evaluate(std::uint64_t flatIndex) const
+{
+    return memo_.getOrCompute(flatIndex,
+                              [&] { return score(flatIndex); });
+}
+
+Evaluation
+Explorer::score(std::uint64_t flatIndex) const
 {
     Evaluation e;
     e.candidate = space_.candidate(flatIndex);
@@ -431,25 +439,40 @@ Explorer::run()
             break;
 
         // Fan the wave out; each slot is a pure function of its
-        // candidate index, so contents are scheduling-independent.
+        // candidate index, so contents are scheduling-independent. A
+        // repeat of an index seen earlier in the wave waits for the
+        // serial pass, where it hits the memo instead of racing the
+        // first occurrence's miss.
         std::vector<Evaluation> evals(wave.size());
-        parallel_for_each(
-            std::int64_t(wave.size()), 1, [&](std::int64_t i) {
-                const std::uint64_t idx = wave[std::size_t(i)];
-                const auto it = replay.find(idx);
-                if (it != replay.end()) {
-                    Evaluation e = it->second;
-                    e.candidate = space_.candidate(idx);
-                    e.reused = true;
-                    evals[std::size_t(i)] = std::move(e);
-                    return;
-                }
-                trace::Span span(trace::spanName(
-                    "dse.eval ",
-                    space_.describe(space_.candidate(idx))));
-                metrics::ScopedTimer timer(evalHist);
-                evals[std::size_t(i)] = evaluate(idx);
-            });
+        std::vector<char> repeat(wave.size(), 0);
+        if (cacheEnabled()) {
+            std::unordered_set<std::uint64_t> seen;
+            for (std::size_t i = 0; i < wave.size(); ++i)
+                repeat[i] = !seen.insert(wave[i]).second;
+        }
+        const auto fill = [&](std::size_t i) {
+            const std::uint64_t idx = wave[i];
+            const auto it = replay.find(idx);
+            if (it != replay.end()) {
+                Evaluation e = it->second;
+                e.candidate = space_.candidate(idx);
+                e.reused = true;
+                evals[i] = std::move(e);
+                return;
+            }
+            trace::Span span(trace::spanName(
+                "dse.eval ", space_.describe(space_.candidate(idx))));
+            metrics::ScopedTimer timer(evalHist);
+            evals[i] = evaluate(idx);
+        };
+        parallel_for_each(std::int64_t(wave.size()), 1,
+                          [&](std::int64_t i) {
+                              if (!repeat[std::size_t(i)])
+                                  fill(std::size_t(i));
+                          });
+        for (std::size_t i = 0; i < wave.size(); ++i)
+            if (repeat[i])
+                fill(i);
 
         // Everything order-sensitive happens serially, in proposal
         // order: journal, counters, frontier, strategy feedback.
@@ -611,7 +634,7 @@ exportFrontierRuns(const Explorer &explorer,
                    const std::string &prefix)
 {
     for (const Evaluation &point : result.frontier) {
-        // Re-score: pure and cache-backed, and it restores the full
+        // Re-score: pure and memo-backed, and it restores the full
         // per-layer RunCost a journal-replayed point does not carry.
         const Evaluation e = explorer.evaluate(point.candidate.index);
         inca_assert(e.scored, "frontier member %llu failed to score",

@@ -7,7 +7,13 @@
  * a wave, evaluation fans out across the global ThreadPool into
  * pre-sized result slots -- evaluation is a pure function of
  * (space, options, candidate index), so slot contents never depend on
- * scheduling. Everything order-sensitive (journal append, frontier
+ * scheduling. That purity is also what the Explorer's memo rests on:
+ * evaluate() stores each scored Evaluation by candidate index, and a
+ * re-proposed candidate (annealing revisits states; frontier exports
+ * re-score members) gets the stored copy. run() holds back repeats
+ * within a wave until the first occurrence is stored, so every
+ * distinct candidate is scored exactly once per run at any thread
+ * count. Everything order-sensitive (journal append, frontier
  * insert, metrics, strategy feedback) runs serially in proposal
  * order afterwards. The combination makes the full result, exports
  * included, bit-identical at any thread count.
@@ -28,6 +34,7 @@
 
 #include "arch/config.hh"
 #include "arch/cost.hh"
+#include "common/cache.hh"
 #include "dse/constraints.hh"
 #include "dse/objectives.hh"
 #include "dse/space.hh"
@@ -133,7 +140,9 @@ struct ExploreResult
     std::vector<Evaluation> frontier;
 
     std::uint64_t spaceSize = 0;
-    std::uint64_t scored = 0;   ///< engine runs performed
+    /** Proposals that reached scoring (memo hits included, journal
+     *  replays not). */
+    std::uint64_t scored = 0;
     std::uint64_t filtered = 0; ///< hard-constraint rejections
     std::uint64_t reused = 0;   ///< journal replays
 };
@@ -158,12 +167,19 @@ class Explorer
     const ExploreOptions &options() const { return options_; }
 
     /**
-     * Evaluate one candidate index (pure; what run() fans out).
-     * Exposed for tests and for re-scoring frontier members.
+     * Evaluate one candidate index: what run() fans out, and how
+     * exportFrontierRuns re-scores frontier members. Returns the
+     * memo's copy when this Explorer has already scored the index.
      */
     Evaluation evaluate(std::uint64_t flatIndex) const;
 
+    /** This Explorer's "dse.eval" memo counters. */
+    CacheStatsSnapshot memoStats() const { return memo_.stats(); }
+
   private:
+    /** Score one candidate from scratch (what the memo stores). */
+    Evaluation score(std::uint64_t flatIndex) const;
+
     /** Serving-simulate one scored candidate (fills p99/goodput/epr). */
     void scoreServing(Evaluation &e) const;
 
@@ -184,6 +200,8 @@ class Explorer
     bool wantTimed_ = false;
     /** Serving objective or max_p99_ms selected: simulate serving. */
     bool wantServing_ = false;
+    /** Scored evaluations by candidate index. */
+    mutable EvalCache<Evaluation> memo_{"dse.eval"};
 };
 
 /**
@@ -206,8 +224,8 @@ std::string frontierJson(const Explorer &explorer,
 /**
  * Re-score every frontier member and write per-run sim::toCsv /
  * sim::toJson files named <prefix>-<index>.{csv,json}. Re-scoring is
- * pure (and cache-backed), so this works identically for resumed
- * runs whose journal carried only scalars.
+ * pure (and served from the memo after a run), so this works
+ * identically for resumed runs whose journal carried only scalars.
  */
 void exportFrontierRuns(const Explorer &explorer,
                         const ExploreResult &result,

@@ -35,7 +35,7 @@ struct Bus
     }
 };
 
-/** Append every field of @p b to @p key (cache canonicalization). */
+/** Append every field of @p b to @p key (config-key hash). */
 void appendKey(CacheKey &key, const Bus &b);
 
 } // namespace memory

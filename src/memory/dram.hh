@@ -53,7 +53,7 @@ struct Dram
 /** Table II DRAM. */
 Dram paperDram();
 
-/** Append every field of @p d to @p key (cache canonicalization). */
+/** Append every field of @p d to @p key (config-key hash). */
 void appendKey(CacheKey &key, const Dram &d);
 
 } // namespace memory

@@ -65,7 +65,7 @@ struct SramBuffer
 /** Table II buffer. */
 SramBuffer paperBuffer();
 
-/** Append every field of @p b to @p key (cache canonicalization). */
+/** Append every field of @p b to @p key (config-key hash). */
 void appendKey(CacheKey &key, const SramBuffer &b);
 
 } // namespace memory

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 
 namespace inca {
@@ -87,23 +86,6 @@ LayerDesc::str() const
                   (long long)inH, (long long)inW, (long long)outC,
                   (long long)outH, (long long)outW, kh, kw, stride, pad);
     return buf;
-}
-
-void
-appendKey(CacheKey &key, const LayerDesc &l)
-{
-    key.add("layer")
-        .add(int(l.kind))
-        .add(l.inC)
-        .add(l.inH)
-        .add(l.inW)
-        .add(l.outC)
-        .add(l.outH)
-        .add(l.outW)
-        .add(l.kh)
-        .add(l.kw)
-        .add(l.stride)
-        .add(l.pad);
 }
 
 } // namespace nn

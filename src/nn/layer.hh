@@ -16,9 +16,6 @@
 #include <string>
 
 namespace inca {
-
-class CacheKey;
-
 namespace nn {
 
 /** The layer taxonomy the paper's analysis distinguishes. */
@@ -83,14 +80,6 @@ struct LayerDesc
     /** One-line summary for reports. */
     std::string str() const;
 };
-
-/**
- * Append the *shape* of @p l to @p key (cache canonicalization).
- * Deliberately excludes LayerDesc::name so identically shaped layers
- * share cached evaluations; callers patch presentation fields after a
- * cache fetch.
- */
-void appendKey(CacheKey &key, const LayerDesc &l);
 
 } // namespace nn
 } // namespace inca

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/cache.hh"
 #include "common/logging.hh"
 
 namespace inca {
@@ -236,19 +235,6 @@ NetBuilder::build(int numClasses)
 {
     net_.numClasses = numClasses;
     return std::move(net_);
-}
-
-void
-appendKey(CacheKey &key, const NetworkDesc &net)
-{
-    key.add("network")
-        .add(net.name)
-        .add(net.numClasses)
-        .add(std::int64_t(net.layers.size()));
-    for (const auto &l : net.layers) {
-        key.add(l.name);
-        appendKey(key, l);
-    }
 }
 
 } // namespace nn

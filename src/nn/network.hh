@@ -18,9 +18,6 @@
 #include "nn/layer.hh"
 
 namespace inca {
-
-class CacheKey;
-
 namespace nn {
 
 /** An ordered network architecture description. */
@@ -52,14 +49,6 @@ struct NetworkDesc
     /** Multi-line summary listing every layer. */
     std::string str() const;
 };
-
-/**
- * Append the full identity of @p net to @p key (cache
- * canonicalization): network name, class count, and every layer's name
- * and shape. Unlike the per-layer key this includes names, so two
- * networks never alias.
- */
-void appendKey(CacheKey &key, const NetworkDesc &net);
 
 /** Incremental builder that tracks the current feature-map shape. */
 class NetBuilder

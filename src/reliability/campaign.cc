@@ -60,13 +60,6 @@ struct PointJob
     double x = 0.0;
 };
 
-EvalCache<CampaignPoint> &
-pointCache()
-{
-    static EvalCache<CampaignPoint> cache("reliability-campaign");
-    return cache;
-}
-
 /** Mix a trial index into a stream base (splitmix64 finalizer). */
 std::uint64_t
 mixStream(std::uint64_t base, std::uint64_t t)
@@ -206,27 +199,6 @@ evaluatePoint(const CampaignOptions &opt, const PointJob &job,
     return point;
 }
 
-CacheKey
-pointKey(const CampaignOptions &opt, const PointJob &job)
-{
-    CacheKey key;
-    key.add("reliability-campaign-point");
-    key.add(job.isInca ? "inca" : "ws");
-    if (job.isInca)
-        arch::appendKey(key, opt.inca);
-    else
-        arch::appendKey(key, opt.ws);
-    key.add(opt.network);
-    key.add(int(opt.phase));
-    appendKey(key, opt.fault);
-    appendKey(key, opt.mitigation);
-    key.add(opt.trials);
-    key.add(opt.noiseSigma);
-    key.add(job.sweep);
-    key.add(job.x);
-    return key;
-}
-
 void
 pointJson(std::ostringstream &os, const CampaignPoint &p)
 {
@@ -296,10 +268,8 @@ runCampaign(const CampaignOptions &opt)
                 "reliability.point ",
                 std::string(job.isInca ? "inca " : "ws ") + job.sweep +
                     " " + num17(job.x)));
-            slots[std::size_t(i)] = pointCache().getOrCompute(
-                pointKey(opt, job), [&] {
-                    return evaluatePoint(opt, job, net, maxWindow);
-                });
+            slots[std::size_t(i)] =
+                evaluatePoint(opt, job, net, maxWindow);
             pointCtr.inc();
             trialCtr.inc(std::uint64_t(std::max(opt.trials, 1)));
         });

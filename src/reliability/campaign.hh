@@ -25,8 +25,7 @@
  * slots; each trial draws from an independent splitmix64 substream
  * keyed by (seed, engine, point, trial), and all aggregation is a
  * serial reduction in fixed order. Output is bit-identical at any
- * thread count and across cached/uncached runs (points memoize in an
- * EvalCache keyed by the full campaign parameterization).
+ * thread count.
  */
 
 #ifndef INCA_RELIABILITY_CAMPAIGN_HH

@@ -16,14 +16,6 @@ namespace serving {
 
 namespace {
 
-EvalCache<BatchCost> &
-batchCostCache()
-{
-    static EvalCache<BatchCost> *c =
-        new EvalCache<BatchCost>("serving.batch");
-    return *c;
-}
-
 /** Activation bytes a batch carries out of @p layer. */
 double
 activationBytes(const nn::LayerDesc &layer, int batch,
@@ -110,17 +102,6 @@ shardKindByName(const std::string &name)
           name.c_str());
 }
 
-void
-appendKey(CacheKey &key, const ShardSpec &spec)
-{
-    key.add("shard");
-    key.add(int(spec.kind));
-    key.add(spec.chips);
-    key.add(spec.link.bandwidthBytesPerS);
-    key.add(spec.link.latencyS);
-    key.add(spec.link.energyPerByteJ);
-}
-
 BatchCostModel::BatchCostModel(const arch::IncaConfig &cfg,
                                ShardSpec shard)
     : inca_(true), incaCfg_(cfg), shard_(shard)
@@ -151,23 +132,6 @@ BatchCost
 BatchCostModel::cost(const nn::NetworkDesc &net, int batch) const
 {
     inca_assert(batch > 0, "batch %d must be positive", batch);
-    CacheKey key;
-    key.add("serving.batch");
-    key.add(inca_);
-    if (inca_)
-        arch::appendKey(key, incaCfg_);
-    else
-        arch::appendKey(key, wsCfg_);
-    nn::appendKey(key, net);
-    key.add(batch);
-    appendKey(key, shard_);
-    return batchCostCache().getOrCompute(
-        key, [&] { return compute(net, batch); });
-}
-
-BatchCost
-BatchCostModel::compute(const nn::NetworkDesc &net, int batch) const
-{
     const ir::LowerOptions opts{/*overlap=*/true};
     const ir::Program program =
         inca_ ? ir::lowerInca(incaCfg_, net, arch::Phase::Inference,

@@ -6,10 +6,9 @@
  * replica. The cost of dispatching a batch of a given size onto a
  * server comes from lowering the network to the shared IR and
  * executing it on the event backend -- the same machinery the
- * timeline driver uses -- and is memoized in a process-wide EvalCache
- * keyed by (engine config, network, batch, shard, link), so a
- * simulation touching thousands of batches pays for one event
- * execution per distinct batch size.
+ * timeline driver uses. The simulator prices each (stream, batch
+ * size) slot once up front, so a simulation touching thousands of
+ * batches pays for one event execution per distinct batch size.
  *
  * Sharding maps a group of chips onto one replica:
  *  - replica: one chip per server; batch latency is the event-backend
@@ -44,7 +43,6 @@
 #include "nn/network.hh"
 
 namespace inca {
-class CacheKey;
 namespace serving {
 
 /** How a server group's chips share one model replica. */
@@ -77,9 +75,6 @@ struct ShardSpec
     LinkSpec link;
 };
 
-/** Append shard + link identity to @p key (cache canonicalization). */
-void appendKey(CacheKey &key, const ShardSpec &spec);
-
 /** Cost of running one batch on one server group. */
 struct BatchCost
 {
@@ -96,9 +91,9 @@ struct BatchCost
 };
 
 /**
- * Memoized (model, batch, shard) -> BatchCost oracle; see the file
- * comment. Pure: two instances with equal configs produce
- * bit-identical costs on any thread, cache on or off.
+ * (model, batch, shard) -> BatchCost oracle; see the file comment.
+ * Pure: two instances with equal configs produce bit-identical costs
+ * on any thread.
  */
 class BatchCostModel
 {
@@ -106,7 +101,7 @@ class BatchCostModel
     BatchCostModel(const arch::IncaConfig &cfg, ShardSpec shard);
     BatchCostModel(const arch::BaselineConfig &cfg, ShardSpec shard);
 
-    /** Cost of a @p batch -image batch of @p net (memoized). */
+    /** Cost of a @p batch -image batch of @p net. */
     BatchCost cost(const nn::NetworkDesc &net, int batch) const;
 
     /** Leakage of every chip in one server group. */
@@ -121,8 +116,6 @@ class BatchCostModel
     std::uint64_t configKeyHash() const { return configKeyHash_; }
 
   private:
-    BatchCost compute(const nn::NetworkDesc &net, int batch) const;
-
     bool inca_ = true;
     arch::IncaConfig incaCfg_;
     arch::BaselineConfig wsCfg_;

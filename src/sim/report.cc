@@ -114,11 +114,10 @@ printCacheStats(std::FILE *out)
             continue;
         std::fprintf(out,
                      "  %-20s %9llu hits %9llu misses  %5.1f%% hit "
-                     "rate  %7llu entries  %6llu evicted\n",
+                     "rate  %7llu entries\n",
                      s.name.c_str(), (unsigned long long)s.hits,
                      (unsigned long long)s.misses, 100.0 * s.hitRate(),
-                     (unsigned long long)s.entries,
-                     (unsigned long long)s.evictions);
+                     (unsigned long long)s.entries);
         hits += s.hits;
         misses += s.misses;
         saved += s.estimatedSavedSeconds();

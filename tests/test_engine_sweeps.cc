@@ -115,6 +115,15 @@ struct GainPoint
     int batch;
 };
 
+// gtest would otherwise print the raw bytes of the struct, pointer
+// included, and gtest_discover_tests turns that value into the ctest
+// name: a name that changes with every process's address layout.
+void
+PrintTo(const GainPoint &p, std::ostream *os)
+{
+    *os << p.network << "_batch" << p.batch;
+}
+
 class GainSweep : public ::testing::TestWithParam<GainPoint>
 {
 };

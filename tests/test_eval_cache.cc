@@ -1,85 +1,151 @@
 /**
  * @file
- * The evaluation cache's correctness contract, tested differentially:
- * cached and uncached sweeps must produce byte-identical results at
- * every thread count, because a hit returns a copy of a value computed
- * by the exact same arithmetic. Plus the mechanics that contract rests
- * on: canonical keys, counters, FIFO eviction, and the INCA_CACHE
- * switch parsing.
+ * The evaluation memo's correctness contract, tested differentially:
+ * the Explorer's "dse.eval" memo must leave every explore output
+ * (evaluations, frontier JSON/CSV, journal) byte-identical with
+ * memoization on or off at every thread count, because a hit returns
+ * a copy of a value computed by the exact same arithmetic. Plus the
+ * mechanics that contract rests on: one miss per distinct candidate,
+ * per-Explorer counters, canonical keys, and the INCA_CACHE switch
+ * parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/config.hh"
-#include "baseline/engine.hh"
 #include "common/cache.hh"
 #include "common/thread_pool.hh"
-#include "inca/engine.hh"
-#include "nn/layer.hh"
-#include "nn/network.hh"
+#include "dse/explorer.hh"
 #include "test_fixtures.hh"
 
 namespace inca {
 namespace {
 
-/**
- * Every number in a RunCost, rendered with full double precision.
- * Byte-equality of two transcripts is bit-equality of two runs.
- */
-std::string
-transcript(const arch::RunCost &run)
+/** A 9-point space small enough for annealing to revisit states. */
+dse::SearchSpace
+memoSpace()
 {
-    char buf[64];
-    std::string out = run.network + "/" +
-                      std::to_string(run.batchSize) + "\n";
-    const auto num = [&](double v) {
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        out += buf;
-    };
-    for (const auto &layer : run.layers) {
-        out += layer.name + " k" +
-               std::to_string(int(layer.kind)) + " t=";
-        num(layer.latency);
-        for (const auto &[stat, value] : layer.stats.entries()) {
-            out += " " + stat + "=";
-            num(value);
-        }
-        out += "\n";
-    }
-    out += "latency=";
-    num(run.latency);
-    out += " static=";
-    num(run.staticEnergy);
-    out += "\n";
-    return out;
+    dse::SearchSpace space;
+    space.axis("plane", {8, 16, 32});
+    space.axis("adc_bits", {4, 5, 6});
+    return space;
+}
+
+/** Anneal over memoSpace(): 48 proposals in waves of 8. */
+dse::ExploreOptions
+memoOptions(const std::string &journalPath = "")
+{
+    dse::ExploreOptions opt;
+    opt.network = "lenet5";
+    opt.strategy = dse::StrategyKind::Anneal;
+    opt.budget = 48;
+    opt.evalBatch = 8;
+    opt.journalPath = journalPath;
+    return opt;
 }
 
 /**
- * The 3-model x 3-config sweep of the differential tests: every
- * (config, network, phase) pair through both engines, concatenated
- * into one transcript.
+ * Every number of every evaluation, rendered with full double
+ * precision. Byte-equality of two transcripts is bit-equality of two
+ * evaluation streams.
  */
 std::string
-sweepTranscript()
+transcript(const std::vector<dse::Evaluation> &evals)
 {
-    std::string out;
-    const auto nets = testing::cacheSweepModels();
-    for (const auto &point : testing::cacheSweepPoints()) {
-        core::IncaEngine inca(testing::incaPointConfig(point));
-        baseline::BaselineEngine base(arch::paperBaseline());
-        for (const auto &net : nets) {
-            out += transcript(inca.inference(net, point.batch));
-            out += transcript(inca.training(net, point.batch));
-            out += transcript(base.inference(net, point.batch));
-            out += transcript(base.training(net, point.batch));
+    std::ostringstream os;
+    char buf[64];
+    const auto num = [&](double v) {
+        std::snprintf(buf, sizeof buf, "%.17g ", v);
+        os << buf;
+    };
+    for (const dse::Evaluation &e : evals) {
+        os << e.candidate.index << " " << e.feasible << e.scored
+           << e.reused << " [" << e.rejectedBy << "] ";
+        for (const double v :
+             {e.areaM2, e.idlePowerW, e.utilization, e.accuracy,
+              e.resilience, e.energyJ, e.latencyS, e.run.latency,
+              e.run.staticEnergy})
+            num(v);
+        for (const double v : e.objectives)
+            num(v);
+        for (const auto &layer : e.run.layers) {
+            os << layer.name << ":";
+            for (const auto &[stat, value] : layer.stats.entries()) {
+                os << stat << "=";
+                num(value);
+            }
         }
+        os << e.configKeyHash << "\n";
+    }
+    return os.str();
+}
+
+/** Frontier JSON minus its provenance block (threads, cache flag). */
+std::string
+stripProvenance(const std::string &json)
+{
+    std::istringstream in(json);
+    std::string out, line;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        if (line == "  \"provenance\": {")
+            inside = true;
+        else if (inside && line == "  },")
+            inside = false;
+        else if (!inside)
+            out += line + "\n";
     }
     return out;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** Every explore output of one memoOptions() run, concatenated. */
+std::string
+exploreOutputs(const std::string &journalPath)
+{
+    dse::Explorer explorer(memoSpace(), memoOptions(journalPath));
+    const dse::ExploreResult result = explorer.run();
+    return transcript(result.evaluations) + "--\n" +
+           stripProvenance(dse::frontierJson(explorer, result)) +
+           "--\n" +
+           dse::frontierCsv(explorer.space(), result.frontier,
+                            explorer.options().objectives) +
+           "--\n" + slurp(journalPath);
+}
+
+std::uint64_t
+distinctProposals(const dse::ExploreResult &result)
+{
+    std::set<std::uint64_t> seen;
+    for (const dse::Evaluation &e : result.evaluations)
+        seen.insert(e.candidate.index);
+    return seen.size();
+}
+
+/** The process-wide "dse.eval" row (summed over Explorers). */
+CacheStatsSnapshot
+processMemoStats()
+{
+    for (const CacheStatsSnapshot &s : cacheStats())
+        if (s.name == "dse.eval")
+            return s;
+    return {};
 }
 
 /** Restore cache/thread globals however a test exits. */
@@ -99,6 +165,7 @@ class EvalCacheTest : public ::testing::Test
         // gtest_discover_tests runs each TEST in its own process, so
         // the globals this suite pokes cannot leak across tests; put
         // them back to the env defaults anyway for manual runs.
+        ThreadPool::setGlobalThreads(1);
         setCacheEnabled(cacheEnabledFromEnv(
             std::getenv("INCA_CACHE")));
         clearAllCaches();
@@ -107,114 +174,131 @@ class EvalCacheTest : public ::testing::Test
 
 TEST_F(EvalCacheTest, CachedSweepIsByteIdenticalAtEveryThreadCount)
 {
+    const std::string journal =
+        ::testing::TempDir() + "/eval_cache_memo.jsonl";
     setCacheEnabled(false);
-    const std::string reference = sweepTranscript();
+    const std::string reference = exploreOutputs(journal);
     ASSERT_FALSE(reference.empty());
 
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
-
         setCacheEnabled(true);
-        clearAllCaches();
-        // Twice: the second pass is served almost entirely from the
-        // cache and must still transcribe identically.
-        EXPECT_EQ(sweepTranscript(), reference);
-        EXPECT_EQ(sweepTranscript(), reference);
-
+        EXPECT_EQ(exploreOutputs(journal), reference);
         setCacheEnabled(false);
-        EXPECT_EQ(sweepTranscript(), reference);
+        EXPECT_EQ(exploreOutputs(journal), reference);
     }
+    std::remove(journal.c_str());
 }
 
 TEST_F(EvalCacheTest, RepeatedRunsHitTheCache)
 {
-    // Serial, so concurrent misses on one key cannot skew the
-    // miss-vs-entry accounting this test pins down.
-    ThreadPool::setGlobalThreads(1);
-    core::IncaEngine engine(arch::paperInca());
-    const auto net = testing::cacheSweepModels().front();
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
+        ThreadPool::setGlobalThreads(threads);
+        clearAllCaches();
+        std::uint64_t proposals = 0, distinct = 0;
+        {
+            dse::Explorer explorer(memoSpace(), memoOptions());
+            const dse::ExploreResult result = explorer.run();
+            proposals = result.evaluations.size();
+            distinct = distinctProposals(result);
+            // The anneal revisits states, or this test proves nothing.
+            ASSERT_LT(distinct, proposals);
+            // Memo hits are still scored, non-replayed proposals.
+            EXPECT_EQ(result.scored, proposals);
+            EXPECT_EQ(result.reused, 0u);
 
-    (void)engine.training(net, 16);
-    std::uint64_t missesAfterFirst = 0, hitsAfterFirst = 0;
-    for (const auto &s : cacheStats()) {
-        missesAfterFirst += s.misses;
-        hitsAfterFirst += s.hits;
+            const CacheStatsSnapshot s = explorer.memoStats();
+            EXPECT_EQ(s.name, "dse.eval");
+            EXPECT_EQ(s.misses, distinct);
+            EXPECT_EQ(s.hits, proposals - distinct);
+            EXPECT_EQ(s.entries, distinct);
+        }
+        // The Explorer is gone; the process report still has its memo.
+        const CacheStatsSnapshot s = processMemoStats();
+        EXPECT_EQ(s.misses, distinct);
+        EXPECT_EQ(s.hits, proposals - distinct);
     }
-    EXPECT_GT(missesAfterFirst, 0u);
-
-    (void)engine.training(net, 16);
-    std::uint64_t misses = 0, hits = 0, entries = 0;
-    for (const auto &s : cacheStats()) {
-        misses += s.misses;
-        hits += s.hits;
-        entries += s.entries;
-    }
-    // The repeat is answered from the run-level cache: new hits, no
-    // new misses, and the entry count stands still.
-    EXPECT_EQ(misses, missesAfterFirst);
-    EXPECT_GT(hits, hitsAfterFirst);
-    EXPECT_GT(entries, 0u);
-    EXPECT_EQ(entries, missesAfterFirst);
 }
 
 TEST_F(EvalCacheTest, DisabledCacheComputesEveryTime)
 {
     setCacheEnabled(false);
     EvalCache<int> cache("test.disabled");
-    CacheKey key;
-    key.add("k");
     int calls = 0;
     for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(cache.getOrCompute(key, [&] { return ++calls; }), i + 1);
+        EXPECT_EQ(cache.getOrCompute(7, [&] { return ++calls; }), i + 1);
     EXPECT_EQ(calls, 3);
     const auto s = cache.stats();
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.entries, 0u);
-}
 
-TEST_F(EvalCacheTest, FifoEvictionBoundsEntries)
-{
-    EvalCache<int> cache("test.evict", /*maxEntriesPerShard=*/2,
-                         /*shards=*/1);
-    for (int i = 0; i < 5; ++i) {
-        CacheKey key;
-        key.add(std::int64_t(i));
-        EXPECT_EQ(cache.getOrCompute(key, [&] { return 10 * i; }),
-                  10 * i);
-    }
-    auto s = cache.stats();
-    EXPECT_EQ(s.misses, 5u);
-    EXPECT_EQ(s.evictions, 3u);
-    EXPECT_EQ(s.entries, 2u);
-
-    // The oldest key was evicted: looking it up recomputes...
-    CacheKey first;
-    first.add(std::int64_t(0));
-    EXPECT_EQ(cache.getOrCompute(first, [] { return -1; }), -1);
-    // ...while the newest is still resident.
-    CacheKey last;
-    last.add(std::int64_t(4));
-    EXPECT_EQ(cache.getOrCompute(last, [] { return -2; }), 40);
-    s = cache.stats();
-    EXPECT_EQ(s.misses, 6u);
-    EXPECT_EQ(s.hits, 1u);
+    // The Explorer's memo records nothing either: every proposal is
+    // scored from scratch.
+    dse::Explorer explorer(memoSpace(), memoOptions());
+    EXPECT_EQ(explorer.run().scored, 48u);
+    EXPECT_EQ(explorer.memoStats().hits + explorer.memoStats().misses,
+              0u);
 }
 
 TEST_F(EvalCacheTest, ClearResetsEntriesAndCounters)
 {
     EvalCache<int> cache("test.clear");
-    CacheKey key;
-    key.add("value");
-    (void)cache.getOrCompute(key, [] { return 1; });
-    (void)cache.getOrCompute(key, [] { return 1; });
+    (void)cache.getOrCompute(1, [] { return 1; });
+    (void)cache.getOrCompute(1, [] { return 1; });
     cache.clear();
     const auto s = cache.stats();
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.entries, 0u);
-    EXPECT_EQ(cache.getOrCompute(key, [] { return 2; }), 2);
+    EXPECT_EQ(cache.getOrCompute(1, [] { return 2; }), 2);
+}
+
+TEST_F(EvalCacheTest, ExportFrontierRunsHitsTheMemo)
+{
+    dse::Explorer explorer(memoSpace(), memoOptions());
+    const dse::ExploreResult result = explorer.run();
+    ASSERT_FALSE(result.frontier.empty());
+    const CacheStatsSnapshot before = explorer.memoStats();
+
+    const std::string prefix = ::testing::TempDir() + "/memo_export";
+    dse::exportFrontierRuns(explorer, result, prefix);
+
+    const CacheStatsSnapshot after = explorer.memoStats();
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.hits, before.hits + result.frontier.size());
+    for (const dse::Evaluation &e : result.frontier) {
+        const std::string base =
+            prefix + "-" + std::to_string(e.candidate.index);
+        std::remove((base + ".csv").c_str());
+        std::remove((base + ".json").c_str());
+    }
+}
+
+TEST_F(EvalCacheTest, ExplorersKeepSeparateCounts)
+{
+    // Two live Explorers (as design_space holds them): building or
+    // running the second must not reset or feed the first's counts.
+    dse::Explorer first(memoSpace(), memoOptions());
+    const dse::ExploreResult a = first.run();
+    const CacheStatsSnapshot firstStats = first.memoStats();
+
+    dse::ExploreOptions opt = memoOptions();
+    opt.seed = 2;
+    dse::Explorer second(memoSpace(), opt);
+    const dse::ExploreResult b = second.run();
+
+    EXPECT_EQ(first.memoStats().hits, firstStats.hits);
+    EXPECT_EQ(first.memoStats().misses, distinctProposals(a));
+    EXPECT_EQ(second.memoStats().misses, distinctProposals(b));
+    EXPECT_EQ(second.memoStats().hits,
+              b.evaluations.size() - distinctProposals(b));
+
+    // The process row sums both.
+    EXPECT_EQ(processMemoStats().misses,
+              distinctProposals(a) + distinctProposals(b));
 }
 
 TEST(CacheKeyTest, SameFieldsSameKey)
@@ -258,37 +342,9 @@ TEST(CacheKeyTest, FieldOrderMatters)
     EXPECT_NE(a.bytes(), b.bytes());
 }
 
-TEST(CacheKeyTest, LayerKeyIgnoresNameNetworkKeyDoesNot)
-{
-    nn::LayerDesc l1;
-    l1.name = "conv1";
-    l1.inC = 3;
-    l1.inH = l1.inW = 32;
-    l1.outC = 16;
-    l1.outH = l1.outW = 32;
-    l1.kh = l1.kw = 3;
-    nn::LayerDesc l2 = l1;
-    l2.name = "conv1.renamed";
-
-    CacheKey k1, k2;
-    nn::appendKey(k1, l1);
-    nn::appendKey(k2, l2);
-    EXPECT_EQ(k1.bytes(), k2.bytes());
-
-    nn::NetworkDesc n1;
-    n1.name = "tiny";
-    n1.layers = {l1};
-    nn::NetworkDesc n2 = n1;
-    n2.name = "tiny.renamed";
-    CacheKey nk1, nk2;
-    nn::appendKey(nk1, n1);
-    nn::appendKey(nk2, n2);
-    EXPECT_NE(nk1.bytes(), nk2.bytes());
-}
-
 TEST(CacheKeyTest, ConfigKeySeparatesDesignPoints)
 {
-    const auto points = inca::testing::cacheSweepPoints();
+    const auto points = inca::testing::sweepPoints();
     std::vector<std::string> keys;
     for (const auto &p : points) {
         CacheKey k;

@@ -110,21 +110,13 @@ incaPointConfig(const IncaPoint &p)
 }
 
 /**
- * The design points the cache differential test sweeps: the paper
- * point plus two perturbed geometries, so cached results for one
- * config can never be served for another without the test noticing.
+ * The paper point plus two perturbed geometries: the design points
+ * the event-backend sweeps and the config-key separation test use.
  */
 inline std::vector<IncaPoint>
-cacheSweepPoints()
+sweepPoints()
 {
     return {{16, 64, 4, 64}, {8, 32, 5, 16}, {32, 16, 6, 8}};
-}
-
-/** The networks the cache differential test sweeps (light + heavy). */
-inline std::vector<nn::NetworkDesc>
-cacheSweepModels()
-{
-    return {nn::resnet18(), nn::mobilenetV2(), nn::lenet5()};
 }
 
 // -------------------------------------------------------------------
