@@ -1,5 +1,6 @@
 #include "common/export_util.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -7,6 +8,24 @@
 #include "common/thread_pool.hh"
 
 namespace inca {
+
+void
+appendNum17(std::string &out, double v)
+{
+    // Longest output: "-" + 17 digits + "." + "e-308" = 24 bytes.
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
+}
+
+std::string
+num17(double v)
+{
+    std::string out;
+    appendNum17(out, v);
+    return out;
+}
 
 std::string
 csvField(const std::string &s)

@@ -1,11 +1,13 @@
 /**
  * @file
- * Shared export plumbing: the RFC-4180 CSV field quoter, the JSON
+ * Shared export plumbing: the number writer (printf "%.17g" bytes,
+ * exact double round-trip), the RFC-4180 CSV field quoter, the JSON
  * string escaper, and the standard run-provenance manifest. These
  * started life inside sim/export.cc; they live in common so every
- * emitter (per-layer run export, DSE frontier, bottleneck reports)
- * writes the same bytes for the same content instead of each carrying
- * a private copy that drifts.
+ * emitter (per-layer run export, DSE frontier and journal, campaign,
+ * serving and bottleneck reports, IR disassembly) writes the same
+ * bytes for the same content instead of each carrying a private copy
+ * that drifts.
  */
 
 #ifndef INCA_COMMON_EXPORT_UTIL_HH
@@ -14,6 +16,19 @@
 #include <string>
 
 namespace inca {
+
+/**
+ * Append @p v to @p out exactly as C-locale printf "%.17g" prints it:
+ * 17 significant digits, so every double round-trips, including
+ * "inf", "-inf", "nan" and "-nan". Built on std::to_chars, which
+ * the standard defines as that printf conversion; it skips the
+ * locale and format-string parsing, so the per-request CSVs write
+ * their ~1M numbers without a temporary per field.
+ */
+void appendNum17(std::string &out, double v);
+
+/** @p v as appendNum17 writes it, for ostream-based emitters. */
+std::string num17(double v);
 
 /**
  * Quote a CSV field per RFC 4180: fields containing a comma, a

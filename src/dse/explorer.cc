@@ -32,26 +32,6 @@ namespace dse {
 
 namespace {
 
-std::string
-num17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /**
  * Score the event backend for one candidate: makespan plus the
  * bottleneck attribution (the frontier's diagnostic columns).

@@ -1,11 +1,14 @@
 #include "dse/journal.hh"
 
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <vector>
 
+#include "common/export_util.hh"
 #include "common/logging.hh"
 
 namespace inca {
@@ -48,16 +51,13 @@ jsonEscape(const std::string &s)
 std::string
 fmtDouble(double v)
 {
-    // %.17g round-trips IEEE-754 doubles exactly; resume depends on
-    // reading back bit-identical values.
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
     // JSON has no inf/nan literals; clamp to huge sentinels (the
     // explorer never produces them, but a journal must stay lintable).
-    if (std::strstr(buf, "inf") || std::strstr(buf, "nan"))
-        std::snprintf(buf, sizeof(buf), "%.17g",
-                      v > 0 ? 1e308 : -1e308);
-    return buf;
+    if (!std::isfinite(v))
+        v = v > 0 ? 1e308 : -1e308;
+    // %.17g round-trips IEEE-754 doubles exactly; resume depends on
+    // reading back bit-identical values.
+    return num17(v);
 }
 
 /**

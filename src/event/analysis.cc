@@ -17,14 +17,6 @@ namespace {
 
 constexpr int kUnitCount = int(ir::Unit::Ctrl) + 1;
 
-std::string
-num17(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 /** Phase as the export spelling. */
 const char *
 phaseName(const ir::Program &p)
@@ -348,9 +340,7 @@ reportText(const ir::Program &p, const Report &r)
                   p.engine.c_str(), p.network.c_str(), phaseName(p),
                   p.batchSize, p.overlap ? 1 : 0);
     os << line;
-    std::snprintf(line, sizeof(line), "makespan_s %.17g\n",
-                  r.makespan);
-    os << line;
+    os << "makespan_s " << num17(r.makespan) << "\n";
     std::snprintf(line, sizeof(line),
                   "critical path: %zu steps, bottleneck unit %s "
                   "(%.2f%% of makespan)\n",

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <sstream>
 
+#include "common/export_util.hh"
 #include "common/logging.hh"
 
 namespace inca {
@@ -177,11 +177,6 @@ std::string
 disassemble(const Program &p)
 {
     std::ostringstream os;
-    char buf[64];
-    const auto num = [&](double v) {
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        return std::string(buf);
-    };
     os << "program " << p.engine << "." << p.network << "."
        << (p.phase == arch::Phase::Training ? "training"
                                             : "inference")
@@ -204,7 +199,7 @@ disassemble(const Program &p)
         }
         const Instr &in = p.instrs[std::size_t(i)];
         os << "  [" << i << "] " << opName(in.op) << " "
-           << unitName(in.unit) << " dur=" << num(in.duration)
+           << unitName(in.unit) << " dur=" << num17(in.duration)
            << " deps=(";
         for (std::size_t d = 0; d < in.deps.size(); ++d)
             os << (d ? "," : "") << in.deps[d];

@@ -1,12 +1,11 @@
 #include "reliability/campaign.hh"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "arch/endurance.hh"
 #include "baseline/engine.hh"
 #include "common/cache.hh"
+#include "common/export_util.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
@@ -19,38 +18,6 @@ namespace inca {
 namespace reliability {
 
 namespace {
-
-std::string
-num17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string
-envJson(const char *name)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return "null";
-    std::string out = "\"";
-    out += jsonEscape(v);
-    out += '"';
-    return out;
-}
 
 /** One (engine, sweep, x) evaluation request. */
 struct PointJob

@@ -1,13 +1,20 @@
 /**
  * @file
- * CSV / JSON export tests.
+ * CSV / JSON export tests, and the export number format: the shared
+ * writer must print exactly printf "%.17g" bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
+#include "common/export_util.hh"
+#include "common/random.hh"
 #include "inca/engine.hh"
 #include "json_lint.hh"
 #include "nn/model_zoo.hh"
@@ -162,6 +169,59 @@ TEST(ExportJson, TrainingPhaseLabel)
     const auto run = engine.training(nn::lenet5(), 4);
     EXPECT_NE(toJson(run).find("\"phase\": \"training\""),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------
+// The export number writer
+
+/** "" when both writers print printf's "%.17g" bytes for @p v. */
+std::string
+num17Mismatch(double v)
+{
+    char want[64];
+    std::snprintf(want, sizeof(want), "%.17g", v);
+    std::string appended = "x,";
+    appendNum17(appended, v);
+    const std::string direct = num17(v);
+    if (direct == want && appended.compare(2, std::string::npos, want) == 0)
+        return "";
+    return std::string("printf \"") + want + "\" vs num17 \"" +
+           direct + "\", appendNum17 \"" + appended.substr(2) + "\"";
+}
+
+TEST(ExportNum17, EdgeCasesMatchPrintf)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double v :
+         {0.0, -0.0, inf, -inf, nan, -nan, 5e-324, -5e-324, DBL_MIN,
+          DBL_MAX, -DBL_MAX,
+          // %g switches to exponent notation below 1e-4 and at 1e17
+          // (precision 17); probe both sides of each switch.
+          1e-5, 1e-4, std::nextafter(1e-4, 0.0), 9.9999999999999998e16,
+          1e17, std::nextafter(1e17, 0.0), std::nextafter(1e17, 1e18),
+          1.0, 0.1, -0.5, 123456789.0})
+        EXPECT_EQ(num17Mismatch(v), "");
+}
+
+TEST(ExportNum17, RandomBitPatternsMatchPrintf)
+{
+    // Raw bit patterns reach every exponent, subnormals, infinities
+    // and NaN payloads, not just the values a simulation prints.
+    SplitMix64 rng(0x17);
+    int checked = 0;
+    for (; checked < 200000; ++checked) {
+        const std::uint64_t bits = rng.next();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        const std::string why = num17Mismatch(v);
+        if (!why.empty()) {
+            ADD_FAILURE() << "bits 0x" << std::hex << bits << ": "
+                          << why;
+            break;
+        }
+    }
+    EXPECT_EQ(checked, 200000);
 }
 
 TEST(ExportFile, RoundTrip)
