@@ -28,7 +28,12 @@ std::string reportText(const ServingReport &rep);
 /** Strict JSON report with the provenance manifest. */
 std::string reportJson(const ServingReport &rep);
 
-/** Per-request table: one RFC-4180 row per completed request. */
+/**
+ * Per-request table: one RFC-4180 row per offered request. A request
+ * that never reached a server (shed, or reaped from its queue) has
+ * empty dispatch_s and wait_s; one that never completed (also failed
+ * ones) has empty completion_s and latency_s.
+ */
 std::string requestsCsv(const ServingReport &rep);
 
 /** Queue-depth timeline: one row per depth change. */

@@ -133,7 +133,17 @@ struct RequestRecord
     bool hedged = false;   ///< dispatched on two servers at once
     Seconds queuedS = 0.0; ///< total time in queues, all attempts
 
+    /** Dispatched to a server on some attempt; a shed request, or
+     *  one reaped from its queue first, never is. */
+    bool hasDispatch() const { return server >= 0; }
+    /** Finished on a server (Ok, or served past its deadline). Shed,
+     *  reaped and failed requests have none; service takes time, so
+     *  a real completion is always > 0. */
+    bool hasCompletion() const { return completionS > 0.0; }
+
+    /** Meaningful only when hasCompletion(). */
     Seconds latencyS() const { return completionS - arrivalS; }
+    /** Meaningful only when hasDispatch(). */
     Seconds waitS() const { return dispatchS - arrivalS; }
 };
 
