@@ -5,16 +5,20 @@
  * Every parser consumes the whole token or dies with fatal(), naming
  * the flag and the offending text -- "--batch 64x" must not silently
  * run with batch 64 (strtol semantics), and "--batch banana" must not
- * run with batch 0. Bad CLI input is a user error, so the exit path
- * is fatal(), never panic().
+ * run with batch 0. Numbers must also be representable: "nan" and
+ * "inf" (which strtod accepts) are rejected, and an integer stored in
+ * an int must fit one. Bad CLI input is a user error, so the exit
+ * path is fatal(), never panic().
  */
 
 #ifndef INCA_EXAMPLES_CLI_HH
 #define INCA_EXAMPLES_CLI_HH
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,6 +51,22 @@ parsePositive(const char *flag, const char *text)
     return v;
 }
 
+/**
+ * Parse a whole-token integer in [@p lo, INT_MAX] or die, so storing
+ * the result in an int never wraps ("--replicas 4294967297" must not
+ * run one replica).
+ */
+inline int
+parseIntIn(const char *flag, const char *text,
+           int lo = std::numeric_limits<int>::min())
+{
+    constexpr int hi = std::numeric_limits<int>::max();
+    const long long v = parseInt(flag, text);
+    if (v < lo || v > hi)
+        fatal("%s must be in [%d, %d], got %lld", flag, lo, hi, v);
+    return int(v);
+}
+
 /** Parse a whole-token unsigned 64-bit integer or die. */
 inline std::uint64_t
 parseU64(const char *flag, const char *text)
@@ -74,6 +94,8 @@ parseDouble(const char *flag, const char *text)
     const double v = std::strtod(text, &end);
     if (end == text || *end != '\0' || errno == ERANGE)
         fatal("%s: '%s' is not a number", flag, text);
+    if (!std::isfinite(v))
+        fatal("%s: '%s' is not a finite number", flag, text);
     return v;
 }
 
@@ -116,6 +138,8 @@ parseDuration(const char *flag, const char *text)
     const double v = std::strtod(text, &end);
     if (end == text || errno == ERANGE)
         fatal("%s: '%s' is not a duration", flag, text);
+    if (!std::isfinite(v))
+        fatal("%s: '%s' is not a finite duration", flag, text);
     if (v < 0.0)
         fatal("%s must be non-negative, got '%s'", flag, text);
     const std::string unit = end;
@@ -177,6 +201,8 @@ parseRate(const char *flag, const char *text)
               rest.c_str(), text);
     if (scaled && rest.empty())
         fatal("%s: '%s' needs '/s' after the multiplier", flag, text);
+    if (!std::isfinite(v))
+        fatal("%s: '%s' is not a finite rate", flag, text);
     if (v <= 0.0)
         fatal("%s must be positive, got '%s'", flag, text);
     return v;

@@ -29,7 +29,7 @@ main(int argc, char **argv)
 
     const std::string jsonPath = bench::extractJsonPath(argc, argv);
     const int batch =
-        argc > 1 ? int(cli::parsePositive("[batch]", argv[1])) : 64;
+        argc > 1 ? cli::parseIntIn("[batch]", argv[1], 1) : 64;
     core::IncaEngine inca(arch::paperInca());
     baseline::BaselineEngine base(arch::paperBaseline());
     gpu::GpuModel titan;

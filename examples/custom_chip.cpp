@@ -60,7 +60,7 @@ main(int argc, char **argv)
                                : Config::fromString(kDemoConfig);
     const std::string netName = argc > 2 ? argv[2] : "resnet18";
     const int batch =
-        argc > 3 ? int(cli::parsePositive("[batch]", argv[3])) : 64;
+        argc > 3 ? cli::parseIntIn("[batch]", argv[3], 1) : 64;
 
     std::printf("configuration (%s):\n",
                 argc > 1 ? argv[1] : "built-in demo");

@@ -169,13 +169,13 @@ main(int argc, char **argv)
             opt.faultBer = cli::parseDouble(a, value(i));
         } else if (std::strcmp(a, "--retries") == 0) {
             opt.mitigation.writeVerifyRetries =
-                int(cli::parseInt(a, value(i)));
+                cli::parseIntIn(a, value(i));
         } else if (std::strcmp(a, "--spare-rows") == 0) {
             opt.mitigation.spareRows =
-                int(cli::parseInt(a, value(i)));
+                cli::parseIntIn(a, value(i));
         } else if (std::strcmp(a, "--spare-cols") == 0) {
             opt.mitigation.spareCols =
-                int(cli::parseInt(a, value(i)));
+                cli::parseIntIn(a, value(i));
         } else if (std::strcmp(a, "--eval-batch") == 0) {
             opt.evalBatch =
                 std::size_t(cli::parsePositive(a, value(i)));
@@ -191,15 +191,15 @@ main(int argc, char **argv)
             opt.serving.arrivals.seed = cli::parseU64(a, value(i));
         } else if (std::strcmp(a, "--serve-replicas") == 0) {
             opt.serving.replicas =
-                int(cli::parsePositive(a, value(i)));
+                cli::parseIntIn(a, value(i), 1);
         } else if (std::strcmp(a, "--serve-shard") == 0) {
             const std::string s = value(i);
             const std::size_t colon = s.find(':');
             opt.serving.shard.kind =
                 serving::shardKindByName(s.substr(0, colon));
             if (colon != std::string::npos)
-                opt.serving.shard.chips = int(cli::parsePositive(
-                    a, s.c_str() + colon + 1));
+                opt.serving.shard.chips = cli::parseIntIn(
+                    a, s.c_str() + colon + 1, 1);
             else if (opt.serving.shard.kind !=
                      serving::ShardKind::Replica)
                 fatal("%s: '%s' needs a chip count (e.g. tensor:4)",
@@ -210,8 +210,8 @@ main(int argc, char **argv)
             if (colon == std::string::npos)
                 fatal("%s: '%s' is not size:timeout (e.g. 8:2ms)", a,
                       s.c_str());
-            opt.serving.batch.maxBatch = int(cli::parsePositive(
-                a, s.substr(0, colon).c_str()));
+            opt.serving.batch.maxBatch = cli::parseIntIn(
+                a, s.substr(0, colon).c_str(), 1);
             opt.serving.batch.timeoutS =
                 cli::parseDuration(a, s.c_str() + colon + 1);
         } else if (std::strcmp(a, "--slo-ms") == 0) {

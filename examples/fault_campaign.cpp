@@ -99,18 +99,18 @@ main(int argc, char **argv)
                       e.c_str());
             }
         } else if (std::strcmp(a, "--trials") == 0) {
-            opt.trials = int(cli::parsePositive(a, value(i)));
+            opt.trials = cli::parseIntIn(a, value(i), 1);
         } else if (std::strcmp(a, "--seed") == 0) {
             opt.fault.seed = cli::parseU64(a, value(i));
         } else if (std::strcmp(a, "--retries") == 0) {
             opt.mitigation.writeVerifyRetries =
-                int(cli::parseInt(a, value(i)));
+                cli::parseIntIn(a, value(i));
         } else if (std::strcmp(a, "--spare-rows") == 0) {
             opt.mitigation.spareRows =
-                int(cli::parseInt(a, value(i)));
+                cli::parseIntIn(a, value(i));
         } else if (std::strcmp(a, "--spare-cols") == 0) {
             opt.mitigation.spareCols =
-                int(cli::parseInt(a, value(i)));
+                cli::parseIntIn(a, value(i));
         } else if (std::strcmp(a, "--bers") == 0) {
             const char *v = value(i);
             opt.bers = std::strcmp(v, "none") == 0

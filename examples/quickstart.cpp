@@ -33,7 +33,7 @@ main(int argc, char **argv)
 
     const std::string name = argc > 1 ? argv[1] : "resnet18";
     const int batch =
-        argc > 2 ? int(cli::parsePositive("[batch]", argv[2])) : 64;
+        argc > 2 ? cli::parseIntIn("[batch]", argv[2], 1) : 64;
 
     // 1. Describe the workload: layer shapes only; the analytic
     //    simulator needs no weights.

@@ -83,8 +83,8 @@ parseShard(const char *flag, const char *text)
     shard.kind =
         serving::shardKindByName(s.substr(0, colon));
     if (colon != std::string::npos)
-        shard.chips = int(cli::parsePositive(
-            flag, s.c_str() + colon + 1));
+        shard.chips = cli::parseIntIn(
+            flag, s.c_str() + colon + 1, 1);
     else if (shard.kind != serving::ShardKind::Replica)
         fatal("%s: '%s' needs a chip count (e.g. tensor:4)", flag,
               text);
@@ -101,8 +101,7 @@ parseBatchPolicy(const char *flag, const char *text)
     if (colon == std::string::npos)
         fatal("%s: '%s' is not size:timeout (e.g. 8:2ms)", flag,
               text);
-    policy.maxBatch = int(
-        cli::parsePositive(flag, s.substr(0, colon).c_str()));
+    policy.maxBatch = cli::parseIntIn(flag, s.substr(0, colon).c_str(), 1);
     policy.timeoutS =
         cli::parseDuration(flag, s.c_str() + colon + 1);
     return policy;
@@ -130,7 +129,7 @@ parseStream(const char *flag, const char *text)
                   text);
         if (c2 != std::string::npos)
             stream.priority =
-                int(cli::parseInt(flag, s.c_str() + c2 + 1));
+                cli::parseIntIn(flag, s.c_str() + c2 + 1);
     }
     return stream;
 }
@@ -191,7 +190,7 @@ main(int argc, char **argv)
             spec.arrivals.diurnalDepth =
                 cli::parseDouble(a, value(i));
         } else if (std::strcmp(a, "--replicas") == 0) {
-            spec.replicas = int(cli::parsePositive(a, value(i)));
+            spec.replicas = cli::parseIntIn(a, value(i), 1);
         } else if (std::strcmp(a, "--shard") == 0) {
             spec.shard = parseShard(a, value(i));
         } else if (std::strcmp(a, "--batch-policy") == 0) {

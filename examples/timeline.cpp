@@ -130,7 +130,7 @@ main(int argc, char **argv)
         } else if (arg == "--phase") {
             phaseName = value();
         } else if (arg == "--batch") {
-            batch = int(cli::parsePositive("--batch", value()));
+            batch = cli::parseIntIn("--batch", value(), 1);
         } else if (arg == "--backend") {
             backend = value();
         } else if (arg == "--overlap") {

@@ -1,6 +1,7 @@
 #include "serving/failures.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -38,6 +39,9 @@ parseDurationToken(const char *flag, const std::string &token)
     const double v = std::strtod(token.c_str(), &end);
     if (end == token.c_str() || errno == ERANGE)
         fatal("%s: '%s' is not a duration", flag, token.c_str());
+    if (!std::isfinite(v))
+        fatal("%s: '%s' is not a finite duration", flag,
+              token.c_str());
     if (v < 0.0)
         fatal("%s: duration must be non-negative, got '%s'", flag,
               token.c_str());
@@ -71,6 +75,8 @@ parseDoubleToken(const char *flag, const std::string &token)
     const double v = std::strtod(token.c_str(), &end);
     if (end == token.c_str() || *end != '\0' || errno == ERANGE)
         fatal("%s: '%s' is not a number", flag, token.c_str());
+    if (!std::isfinite(v))
+        fatal("%s: '%s' is not a finite number", flag, token.c_str());
     return v;
 }
 
@@ -179,6 +185,9 @@ parseRetrySpec(const char *flag, const char *text)
     if (budget < 0)
         fatal("%s: retry budget must be non-negative, got %lld", flag,
               budget);
+    if (budget > kMaxRetryBudget)
+        fatal("%s: retry budget %lld exceeds %d", flag, budget,
+              kMaxRetryBudget);
     policy.budget = int(budget);
     policy.backoffBaseS = parseDurationToken(flag, parts[1]);
     if (policy.budget > 0 && policy.backoffBaseS <= 0.0)

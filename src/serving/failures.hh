@@ -69,6 +69,10 @@ struct FailureSpec
     bool dropInFlight = false;
 };
 
+/** Most retries one request may make: the k-th backoff is
+ *  base x 2^(k-1), computed in 64 bits. */
+constexpr int kMaxRetryBudget = 64;
+
 /** Client-side bounded retry with exponential backoff + jitter. */
 struct RetryPolicy
 {
@@ -111,8 +115,8 @@ FailureSpec parseFailureSpec(const char *flag, const char *text);
 
 /**
  * Parse a --retry value: "none" disables retries; otherwise
- * "budget:backoff[:jitter]" ("3:1ms", "5:500us:0.25"). Fatal on
- * malformed input.
+ * "budget:backoff[:jitter]" ("3:1ms", "5:500us:0.25"), with a budget
+ * of at most kMaxRetryBudget. Fatal on malformed input.
  */
 RetryPolicy parseRetrySpec(const char *flag, const char *text);
 

@@ -3,57 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <queue>
 
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "nn/model_zoo.hh"
+#include "serving/event_queue.hh"
 
 namespace inca {
 namespace serving {
 
 namespace {
-
-/**
- * Heap event. Kind breaks timestamp ties; seq breaks kind ties.
- * Kinds 0-2 are the original (chaos-off) machinery; 3+ only enter
- * the heap when a chaos feature needs them, except completions
- * (kind 3), which are always scheduled but are pure finalizers --
- * they change no scheduler-visible state, so their presence keeps
- * the chaos-off event stream's observable behavior identical.
- */
-struct Ev
-{
-    Seconds t = 0.0;
-    int kind = 0; ///< 0 server-ready, 1 arrival, 2 timeout,
-                  ///< 3 completion, 4 fail, 5 repair, 6 up,
-                  ///< 7 deadline, 8 retry
-    std::uint64_t seq = 0;
-    std::uint64_t payload = 0;
-};
-
-struct EvLater
-{
-    bool operator()(const Ev &a, const Ev &b) const
-    {
-        if (a.t != b.t)
-            return a.t > b.t;
-        if (a.kind != b.kind)
-            return a.kind > b.kind;
-        return a.seq > b.seq;
-    }
-};
-
-constexpr int kEvServerReady = 0;
-constexpr int kEvArrival = 1;
-constexpr int kEvTimeout = 2;
-constexpr int kEvCompletion = 3;
-constexpr int kEvFail = 4;
-constexpr int kEvRepair = 5;
-constexpr int kEvUp = 6;
-constexpr int kEvDeadline = 7;
-constexpr int kEvRetry = 8;
 
 struct Server
 {
@@ -138,8 +98,10 @@ validateSpec(const ServingSpec &spec)
                     "aging factor %f outside (0, 1]",
                     spec.failures.aging);
     }
-    inca_assert(spec.retry.budget >= 0,
-                "retry budget must be non-negative");
+    inca_assert(spec.retry.budget >= 0 &&
+                    spec.retry.budget <= kMaxRetryBudget,
+                "retry budget %d outside [0, %d]", spec.retry.budget,
+                kMaxRetryBudget);
     if (spec.retry.budget > 0)
         inca_assert(spec.retry.backoffBaseS > 0.0,
                     "retry backoff base must be positive");
@@ -149,6 +111,24 @@ validateSpec(const ServingSpec &spec)
                 "deadline must be non-negative");
     inca_assert(spec.hedgeDelayS >= 0.0,
                 "hedge delay must be non-negative");
+}
+
+/** Nearest-rank percentile @p q in (0, 100] of ascending @p sorted;
+ *  0 when empty. */
+double
+nearestRank(const std::vector<double> &sorted, double q)
+{
+    inca_assert(q > 0.0 && q <= 100.0,
+                "percentile %f outside (0, 100]", q);
+    if (sorted.empty())
+        return 0.0;
+    std::size_t rank =
+        std::size_t(std::ceil(q / 100.0 * double(sorted.size())));
+    if (rank < 1)
+        rank = 1;
+    if (rank > sorted.size())
+        rank = sorted.size();
+    return sorted[rank - 1];
 }
 
 } // namespace
@@ -164,18 +144,8 @@ chaosEnabled(const ServingSpec &spec)
 double
 exactPercentile(std::vector<double> samples, double q)
 {
-    inca_assert(q > 0.0 && q <= 100.0,
-                "percentile %f outside (0, 100]", q);
-    if (samples.empty())
-        return 0.0;
     std::sort(samples.begin(), samples.end());
-    std::size_t rank =
-        std::size_t(std::ceil(q / 100.0 * double(samples.size())));
-    if (rank < 1)
-        rank = 1;
-    if (rank > samples.size())
-        rank = samples.size();
-    return samples[rank - 1];
+    return nearestRank(samples, q);
 }
 
 ServingReport
@@ -242,26 +212,16 @@ simulate(const ServingSpec &spec)
 
     // ---- Serial virtual-time event loop. -------------------------
     const bool failuresOn = spec.failures.enabled;
-    std::priority_queue<Ev, std::vector<Ev>, EvLater> events;
-    std::uint64_t seq = 0;
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        events.push(Ev{arrivals[i], kEvArrival, seq++, i});
-        // Every request gets a timeout tick: the head-age dispatch
-        // condition below compares against the identical floating-
-        // point sum, so the tick fires the moment the condition
-        // becomes true -- and a drained trace still flushes. The
-        // head age counts from the original arrival even after a
-        // failover or retry re-enqueue, so a revived request past
-        // its tick is dispatchable at the next opportunity and no
-        // per-episode tick is ever needed.
-        events.push(Ev{arrivals[i] + spec.batch.timeoutS,
-                       kEvTimeout, seq++, i});
-    }
-    if (spec.deadlineS > 0.0) {
-        for (std::size_t i = 0; i < arrivals.size(); ++i)
-            events.push(Ev{arrivals[i] + spec.deadlineS,
-                           kEvDeadline, seq++, i});
-    }
+    // Every request gets an arrival, a timeout tick and (with a
+    // deadline) a deadline event, each from its own cursor over the
+    // sorted trace (serving/event_queue.hh). The head-age dispatch
+    // condition below compares against the tick's identical floating-
+    // point sum, so the tick fires the moment the condition becomes
+    // true -- and a drained trace still flushes. The head age counts
+    // from the original arrival even after a failover or retry
+    // re-enqueue, so a revived request past its tick is dispatchable
+    // at the next opportunity and no per-episode tick is ever needed.
+    EventQueue events(arrivals, spec.batch.timeoutS, spec.deadlineS);
 
     std::vector<std::deque<std::uint64_t>> queues(
         spec.streams.size());
@@ -291,7 +251,7 @@ simulate(const ServingSpec &spec)
                  std::uint64_t(i) * 0x9e3779b97f4a7c15ULL));
             const Seconds ttf =
                 exponential(servers[i].rng, 1.0 / spec.failures.mtbfS);
-            events.push(Ev{ttf, kEvFail, seq++, i});
+            events.push(ttf, kEvFail, i);
         }
     }
 
@@ -359,7 +319,7 @@ simulate(const ServingSpec &spec)
             double(std::uint64_t(1) << (r.retries - 1)) *
             (1.0 + spec.retry.jitter * j.uniform());
         state[id] = RState::Backoff;
-        events.push(Ev{now + backoff, kEvRetry, seq++, id});
+        events.push(now + backoff, kEvRetry, id);
     };
 
     // Admission: bounded per-stream queues shed the arriving request;
@@ -422,8 +382,8 @@ simulate(const ServingSpec &spec)
         server.stats.busyS += interval;
         server.stats.batches += 1;
         server.stats.requests += b.reqs.size();
-        events.push(Ev{server.readyAtS, kEvServerReady, seq++,
-                       std::uint64_t(srv)});
+        events.push(server.readyAtS, kEvServerReady,
+                    std::uint64_t(srv));
         rep.dynamicEnergyJ += cost.energyJ;
         return completion;
     };
@@ -495,8 +455,7 @@ simulate(const ServingSpec &spec)
                 dispatchLeg(placed, srv, now);
             placed.legs.push_back(Leg{srv, completion, false});
             servers[std::size_t(srv)].inflight.push_back(batchId);
-            events.push(Ev{completion, kEvCompletion, seq++,
-                           batchId * 2});
+            events.push(completion, kEvCompletion, batchId * 2);
             if (wantHedge) {
                 int srv2 = -1;
                 for (std::size_t i = 0; i < servers.size(); ++i) {
@@ -514,8 +473,8 @@ simulate(const ServingSpec &spec)
                         Leg{srv2, completion2, false});
                     servers[std::size_t(srv2)].inflight.push_back(
                         batchId);
-                    events.push(Ev{completion2, kEvCompletion,
-                                   seq++, batchId * 2 + 1});
+                    events.push(completion2, kEvCompletion,
+                                batchId * 2 + 1);
                     ++rep.hedges;
                     for (const std::uint64_t id : placed.reqs)
                         rep.requests[id].hedged = true;
@@ -619,8 +578,7 @@ simulate(const ServingSpec &spec)
     };
 
     while (!events.empty()) {
-        const Ev ev = events.top();
-        events.pop();
+        const Ev ev = events.pop();
         // Once every request is terminal the failure process only
         // matters inside the availability window; past it the chain
         // stops regenerating and the heap drains.
@@ -653,22 +611,20 @@ simulate(const ServingSpec &spec)
                     : 0.0;
             if (slow) {
                 s.health = Health::Degraded;
-                events.push(
-                    Ev{ev.t + repair, kEvUp, seq++, ev.payload});
+                events.push(ev.t + repair, kEvUp, ev.payload);
             } else {
                 s.health = Health::Down;
                 s.healthLog.push_back({ev.t, false});
                 failStop(ev.payload, ev.t);
-                events.push(
-                    Ev{ev.t + repair, kEvRepair, seq++, ev.payload});
+                events.push(ev.t + repair, kEvRepair, ev.payload);
             }
             break;
           }
           case kEvRepair: {
             Server &s = servers[ev.payload];
             s.health = Health::Recovering;
-            events.push(Ev{ev.t + spec.failures.recoveryS, kEvUp,
-                           seq++, ev.payload});
+            events.push(ev.t + spec.failures.recoveryS, kEvUp,
+                        ev.payload);
             break;
           }
           case kEvUp: {
@@ -683,7 +639,7 @@ simulate(const ServingSpec &spec)
                 std::pow(spec.failures.aging, double(s.failCount));
             const Seconds ttf = exponential(
                 s.rng, 1.0 / (spec.failures.mtbfS * scale));
-            events.push(Ev{ev.t + ttf, kEvFail, seq++, ev.payload});
+            events.push(ev.t + ttf, kEvFail, ev.payload);
             break;
           }
           case kEvDeadline: {
@@ -734,9 +690,10 @@ simulate(const ServingSpec &spec)
     if (!latencies.empty()) {
         rep.meanLatencyS = latencySum / double(latencies.size());
         rep.meanWaitS = waitSum / double(latencies.size());
-        rep.p50S = exactPercentile(latencies, 50.0);
-        rep.p95S = exactPercentile(latencies, 95.0);
-        rep.p99S = exactPercentile(latencies, 99.0);
+        std::sort(latencies.begin(), latencies.end());
+        rep.p50S = nearestRank(latencies, 50.0);
+        rep.p95S = nearestRank(latencies, 95.0);
+        rep.p99S = nearestRank(latencies, 99.0);
     }
     if (rep.makespanS > 0.0) {
         rep.throughputRps =

@@ -7,9 +7,10 @@
  * traces materialized up front (serving/arrivals.hh) and batch
  * service times from the cost model (serving/cost_model.hh).
  * Wall-clock time never enters, so a simulation is a pure function of
- * its spec: bit-identical at any thread count. The only parallel phase is the pre-computation of the
- * (stream, batch size) cost table, which fans out pure cost-model
- * calls into pre-sized slots before the serial event loop runs.
+ * its spec: bit-identical at any thread count. The only parallel
+ * phase is the pre-computation of the (stream, batch size) cost
+ * table, which fans out pure cost-model calls into pre-sized slots
+ * before the serial event loop runs.
  *
  * Scheduling policy: one FIFO queue per stream. A stream becomes
  * dispatchable when its queue reaches the batch-size cap or its head
@@ -17,9 +18,10 @@
  * scheduler picks the dispatchable stream with the lowest priority
  * number (ties: oldest head request, then stream index) and dispatches
  * up to maxBatch requests from that stream only -- batches never mix
- * models. Every request schedules a timeout event, so a drained
- * arrival trace still flushes: each queued request eventually ages
- * past the timeout and leaves with a recorded latency.
+ * models. Each request's tick comes from the timeout cursor
+ * (serving/event_queue.hh), so a drained arrival trace still flushes:
+ * each queued request eventually ages past the timeout and leaves
+ * with a recorded latency.
  *
  * Servers admit one batch per initiation interval and complete it
  * after the batch latency; completions on one server are clamped

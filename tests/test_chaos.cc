@@ -67,6 +67,9 @@ TEST(ChaosCli, ParseRetrySpecAcceptsTheGrammar)
     EXPECT_EQ(full.budget, 5);
     EXPECT_DOUBLE_EQ(full.backoffBaseS, 500e-6);
     EXPECT_DOUBLE_EQ(full.jitter, 0.25);
+
+    EXPECT_EQ(parseRetrySpec("--retry", "64:1ms").budget,
+              kMaxRetryBudget);
 }
 
 TEST(ChaosCliDeathTest, ParseFailureSpecRejectsMalformedInput)
@@ -90,6 +93,16 @@ TEST(ChaosCliDeathTest, ParseFailureSpecRejectsMalformedInput)
                  "degraded fraction");
     EXPECT_DEATH(parseFailureSpec("--failures", "200ms:50ms:0.3:0.5"),
                  "slowdown factor");
+    // strtod reads nan and inf; they must fail here, naming the
+    // flag, not in the simulator's spec validation.
+    EXPECT_DEATH(parseFailureSpec("--failures", "10ms:nanms"),
+                 "not a finite duration");
+    EXPECT_DEATH(parseFailureSpec("--failures", "infs:10ms"),
+                 "not a finite duration");
+    EXPECT_DEATH(parseFailureSpec("--failures", "10ms:10ms:nan"),
+                 "not a finite number");
+    EXPECT_DEATH(parseFailureSpec("--failures", "10ms:10ms:0.5:inf"),
+                 "not a finite number");
 }
 
 TEST(ChaosCliDeathTest, ParseRetrySpecRejectsMalformedInput)
@@ -106,6 +119,20 @@ TEST(ChaosCliDeathTest, ParseRetrySpecRejectsMalformedInput)
     EXPECT_DEATH(parseRetrySpec("--retry", "3:0"),
                  "backoff base must be positive");
     EXPECT_DEATH(parseRetrySpec("--retry", "3:1ms:2"), "jitter");
+    EXPECT_DEATH(parseRetrySpec("--retry", "3:nanms"),
+                 "not a finite duration");
+    EXPECT_DEATH(parseRetrySpec("--retry", "3:1ms:nan"),
+                 "not a finite number");
+    // Narrowed to int, 4294967296 would turn retries off, 4294967299
+    // would become 3 and 3000000000 negative. Past 64 the backoff's
+    // 2^(k-1) no longer fits in 64 bits.
+    EXPECT_DEATH(parseRetrySpec("--retry", "4294967296:1ms"),
+                 "retry budget 4294967296 exceeds 64");
+    EXPECT_DEATH(parseRetrySpec("--retry", "4294967299:1ms"),
+                 "exceeds 64");
+    EXPECT_DEATH(parseRetrySpec("--retry", "3000000000:1ms"),
+                 "exceeds 64");
+    EXPECT_DEATH(parseRetrySpec("--retry", "65:1ms"), "exceeds 64");
 }
 
 TEST(ChaosCli, FailureSpecFromEnduranceDerivesTheMtbf)
@@ -183,33 +210,56 @@ TEST(ChaosSpecDeathTest, SimulateRejectsMalformedChaosFields)
     bad = chaosSpec();
     bad.failures.slowdownFactor = 0.5;
     EXPECT_DEATH(simulate(bad), "slowdown factor");
+    bad = chaosSpec();
+    bad.retry.budget = kMaxRetryBudget + 1;
+    EXPECT_DEATH(simulate(bad), "retry budget 65 outside");
 }
 
 // ---------------------------------------------------------------
 // Chaos-off equivalence
 
+/**
+ * `serve --network lenet5 --rate 10k/s --duration 200ms --replicas 2
+ * --batch-policy 4:1ms`: Poisson arrivals at seed 1, no SLO.
+ */
+ServingSpec
+plainLenetSpec()
+{
+    ServingSpec spec;
+    spec.streams = {StreamSpec{"lenet5", 1.0, 0}};
+    spec.arrivals.ratePerS = 10e3;
+    spec.durationS = 0.2;
+    spec.replicas = 2;
+    spec.batch = BatchPolicy{4, 1e-3};
+    return spec;
+}
+
 TEST(ChaosOff, ExplicitNoneSpecMatchesTheDefaultByteForByte)
 {
-    ServingSpec plain = chaosSpec();
-    plain.failures = FailureSpec{};
-    const ServingReport ref = simulate(plain);
+    ServingSpec small = chaosSpec();
+    small.failures = FailureSpec{};
+    for (const ServingSpec &plain : {small, plainLenetSpec()}) {
+        const ServingReport ref = simulate(plain);
 
-    ServingSpec off = plain;
-    off.failures = parseFailureSpec("--failures", "none");
-    off.retry = parseRetrySpec("--retry", "none");
-    off.queueCap = 0;
-    off.deadlineS = 0.0;
-    EXPECT_FALSE(chaosEnabled(off));
-    const ServingReport rep = simulate(off);
+        // --failures none --retry none --queue-cap 0
+        ServingSpec off = plain;
+        off.failures = parseFailureSpec("--failures", "none");
+        off.retry = parseRetrySpec("--retry", "none");
+        off.queueCap = 0;
+        off.deadlineS = 0.0;
+        EXPECT_FALSE(chaosEnabled(off));
+        const ServingReport rep = simulate(off);
 
-    EXPECT_EQ(reportText(rep), reportText(ref));
-    EXPECT_EQ(reportJson(rep), reportJson(ref));
-    EXPECT_EQ(requestsCsv(rep), requestsCsv(ref));
-    EXPECT_EQ(rep.shed, 0u);
-    EXPECT_EQ(rep.completed, rep.offered);
-    EXPECT_DOUBLE_EQ(rep.availability, 1.0);
-    for (const RequestRecord &r : rep.requests)
-        EXPECT_EQ(r.outcome, RequestOutcome::Ok);
+        EXPECT_EQ(reportText(rep), reportText(ref));
+        EXPECT_EQ(reportJson(rep), reportJson(ref));
+        EXPECT_EQ(requestsCsv(rep), requestsCsv(ref));
+        EXPECT_EQ(timelineCsv(rep), timelineCsv(ref));
+        EXPECT_EQ(rep.shed, 0u);
+        EXPECT_EQ(rep.completed, rep.offered);
+        EXPECT_DOUBLE_EQ(rep.availability, 1.0);
+        for (const RequestRecord &r : rep.requests)
+            EXPECT_EQ(r.outcome, RequestOutcome::Ok);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -330,6 +380,37 @@ TEST(ChaosOutcomes, DeadlineMissesAreTimeouts)
     }
 }
 
+TEST(ChaosOutcomes, TimeoutTickPrecedesADeadlineAtTheSameInstant)
+{
+    // With the deadline equal to the batch timeout, a lone request's
+    // tick and deadline fall on the same instant. The tick (kind 2)
+    // pops first and dispatches the request, so the deadline finds it
+    // in flight and judges it at completion. Reversed, every request
+    // would be reaped from its queue instead.
+    ServingSpec spec;
+    spec.streams = {StreamSpec{"lenet5", 1.0, 0}};
+    spec.arrivals.kind = ArrivalKind::Poisson;
+    spec.arrivals.ratePerS = 50.0;
+    spec.arrivals.seed = 3;
+    spec.durationS = 1.0;
+    spec.replicas = 1;
+    spec.batch = BatchPolicy{16, 1e-3};
+    spec.deadlineS = 1e-3;
+    const ServingReport rep = simulate(spec);
+    EXPECT_EQ(rep.offered, 53u);
+    EXPECT_EQ(rep.batches, 52u);
+    std::uint64_t heads = 0;
+    for (const RequestRecord &r : rep.requests) {
+        EXPECT_TRUE(r.hasDispatch()) << "request " << r.id << " reaped";
+        if (r.dispatchS != r.arrivalS + spec.batch.timeoutS)
+            continue;
+        ++heads;
+        EXPECT_EQ(r.outcome, RequestOutcome::Timeout)
+            << "request " << r.id;
+    }
+    EXPECT_EQ(heads, rep.batches);
+}
+
 // ---------------------------------------------------------------
 // Queueing identities
 
@@ -357,27 +438,34 @@ TEST(ChaosQueueing, LittlesLawHoldsUnderFailures)
 
 TEST(ChaosFailures, AvailabilityIsBoundedAndMonotoneInReplicas)
 {
-    ServingSpec spec = chaosSpec();
-    spec.failures.mtbfS = 0.03;
-    spec.failures.mttrS = 0.02;
-    double last = -1.0;
-    for (const int replicas : {1, 2, 4, 8}) {
-        spec.replicas = replicas;
-        const ServingReport rep = simulate(spec);
-        EXPECT_GE(rep.availability, 0.0);
-        EXPECT_LE(rep.availability, 1.0);
-        // Per-server failure streams are independent, so adding a
-        // replica only grows the union of accepting time.
-        EXPECT_GE(rep.availability, last)
-            << "availability shrank at " << replicas << " replicas";
-        last = rep.availability;
-        EXPECT_NEAR(rep.unavailableS,
-                    (1.0 - rep.availability) * spec.durationS,
-                    1e-9);
+    ServingSpec small = chaosSpec();
+    small.failures.mtbfS = 0.03;
+    small.failures.mttrS = 0.02;
+    // The plain lenet5 run with --failures 30ms:20ms --retry 3:1ms.
+    ServingSpec lenet = plainLenetSpec();
+    lenet.failures = parseFailureSpec("--failures", "30ms:20ms");
+    lenet.retry = parseRetrySpec("--retry", "3:1ms");
+    for (ServingSpec spec : {small, lenet}) {
+        double last = -1.0;
+        for (const int replicas : {1, 2, 4, 8}) {
+            spec.replicas = replicas;
+            const ServingReport rep = simulate(spec);
+            EXPECT_GE(rep.availability, 0.0);
+            EXPECT_LE(rep.availability, 1.0);
+            // Per-server failure streams are independent, so adding
+            // a replica only grows the union of accepting time.
+            EXPECT_GE(rep.availability, last)
+                << "availability shrank at " << replicas
+                << " replicas";
+            last = rep.availability;
+            EXPECT_NEAR(rep.unavailableS,
+                        (1.0 - rep.availability) * spec.durationS,
+                        1e-9);
+        }
+        // One replica with MTBF well under the window must lose time.
+        spec.replicas = 1;
+        EXPECT_LT(simulate(spec).availability, 1.0);
     }
-    // One replica with MTBF well under the window must lose time.
-    spec.replicas = 1;
-    EXPECT_LT(simulate(spec).availability, 1.0);
 }
 
 TEST(ChaosFailures, PerServerAccountingSumsToTheRollup)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Serving-simulator tests: arrival-process statistics, virtual-time
- * scheduling invariants (Little's law, FIFO within priority),
+ * Serving-simulator tests: arrival-process statistics, the event
+ * queue's pop order under exact ties, virtual-time scheduling
+ * invariants (Little's law, FIFO within priority),
  * bit-identity of the full report across thread counts and cache
  * settings, p99 scaling with replicas, exact percentiles (simulator
  * and metrics histogram), strict CLI parsers, and the DSE bridge
@@ -13,14 +14,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <queue>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/metrics.hh"
+#include "common/random.hh"
 #include "dse/explorer.hh"
 #include "dse/journal.hh"
 #include "examples/cli.hh"
 #include "json_lint.hh"
+#include "serving/event_queue.hh"
 #include "serving/export.hh"
 #include "serving/simulator.hh"
 #include "serving_fixtures.hh"
@@ -120,6 +126,102 @@ TEST(Arrivals, BurstyIsBurstierThanPoisson)
     };
     EXPECT_GT(dispersion(ArrivalKind::Bursty),
               2.0 * dispersion(ArrivalKind::Poisson));
+}
+
+// ---------------------------------------------------------------
+// Event source
+
+TEST(EventQueue, PopsInTheHeapOrderUnderTies)
+{
+    // Everything sits on a coarse grid (k x 0.25 ms), so arrivals,
+    // ticks, deadlines and run-time events collide on exact instants.
+    // The reference is one heap filled the way simulate() used to
+    // fill it: every request event up front, then the same run-time
+    // pushes as the queue under test.
+    constexpr Seconds kStep = 0.25e-3;
+    const int runtimeKinds[] = {kEvServerReady, kEvCompletion, kEvFail,
+                                kEvRepair,      kEvUp,         kEvRetry};
+    using Popped = std::tuple<Seconds, int, std::uint64_t>;
+    std::uint64_t crossKindTies = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        for (const int timeoutSteps : {0, 2}) {
+            for (const int deadlineSteps : {0, timeoutSteps, 4}) {
+                SplitMix64 rng(seed);
+                std::vector<Seconds> arrivals(48);
+                for (Seconds &a : arrivals)
+                    a = double(rng.below(24)) * kStep;
+                std::sort(arrivals.begin(), arrivals.end());
+                const Seconds timeoutS = timeoutSteps * kStep;
+                const Seconds deadlineS = deadlineSteps * kStep;
+
+                EventQueue q(arrivals, timeoutS, deadlineS);
+                std::priority_queue<Ev, std::vector<Ev>, EvLater> ref;
+                std::uint64_t seq = 0;
+                for (std::size_t i = 0; i < arrivals.size(); ++i) {
+                    ref.push(Ev{arrivals[i], kEvArrival, seq++, i});
+                    ref.push(Ev{arrivals[i] + timeoutS, kEvTimeout,
+                                seq++, i});
+                }
+                if (deadlineS > 0.0) {
+                    for (std::size_t i = 0; i < arrivals.size(); ++i)
+                        ref.push(Ev{arrivals[i] + deadlineS,
+                                    kEvDeadline, seq++, i});
+                }
+
+                std::vector<Popped> got, want;
+                std::uint64_t payload = 1000;
+                int pushes = 160;
+                while (!ref.empty()) {
+                    ASSERT_FALSE(q.empty());
+                    const Ev w = ref.top();
+                    ref.pop();
+                    const Ev g = q.pop();
+                    if (!want.empty() &&
+                        std::get<0>(want.back()) == w.t &&
+                        std::get<1>(want.back()) != w.kind)
+                        ++crossKindTies;
+                    want.emplace_back(w.t, w.kind, w.payload);
+                    got.emplace_back(g.t, g.kind, g.payload);
+                    // Schedule run-time events at the popped instant,
+                    // at a later grid point, or at a later grid point
+                    // plus the tick or deadline offset (where a
+                    // cursor event may sit).
+                    for (std::uint64_t n = rng.below(3);
+                         n > 0 && pushes > 0; --n, --pushes) {
+                        const int kind = runtimeKinds[rng.below(6)];
+                        const Seconds grid =
+                            double(std::llround(w.t / kStep) + 1 +
+                                   std::int64_t(rng.below(4))) *
+                            kStep;
+                        const Seconds at[] = {w.t, grid,
+                                              grid + timeoutS,
+                                              grid + deadlineS};
+                        const Seconds t = at[rng.below(4)];
+                        q.push(t, kind, payload);
+                        ref.push(Ev{t, kind, seq++, payload});
+                        ++payload;
+                    }
+                }
+                EXPECT_TRUE(q.empty());
+                EXPECT_EQ(got, want)
+                    << "seed " << seed << ", timeout " << timeoutSteps
+                    << " steps, deadline " << deadlineSteps << " steps";
+            }
+        }
+    }
+    // The grid must actually produce ties between different kinds.
+    EXPECT_GT(crossKindTies, 1000u);
+}
+
+TEST(EventQueueDeathTest, RequestKindsComeOnlyFromTheCursors)
+{
+    const std::vector<Seconds> arrivals = {0.0, 1e-3};
+    for (const int kind : {kEvArrival, kEvTimeout, kEvDeadline}) {
+        EventQueue q(arrivals, 1e-3, 0.0);
+        EXPECT_DEATH(q.push(2e-3, kind, 0), "comes from a cursor");
+    }
+    const std::vector<Seconds> unsorted = {1e-3, 0.0};
+    EXPECT_DEATH(EventQueue(unsorted, 1e-3, 0.0), "not sorted");
 }
 
 // ---------------------------------------------------------------
@@ -308,18 +410,34 @@ TEST(Simulator, ReportBytesIdenticalAcrossThreadsAndCache)
 
 TEST(Simulator, P99DropsAsReplicasGrow)
 {
-    ServingSpec spec = tinySpec();
-    spec.arrivals.ratePerS = 600000.0; // overload even 8 servers
-    double last = 0.0;
-    for (const int replicas : {1, 4, 8}) {
-        spec.replicas = replicas;
-        const ServingReport rep = simulate(spec);
-        if (replicas > 1) {
-            EXPECT_LT(rep.p99S, last)
-                << "p99 must shrink from " << last << " at "
-                << replicas << " replicas";
+    ServingSpec overload = tinySpec();
+    overload.arrivals.ratePerS = 600000.0; // overload even 8 servers
+    std::vector<ServingSpec> specs = {overload};
+    // `serve --network vgg16 --arrivals <mix> --rate 400/s
+    // --duration 500ms` under every arrival mix.
+    for (const ArrivalKind mix :
+         {ArrivalKind::Poisson, ArrivalKind::Bursty,
+          ArrivalKind::Diurnal}) {
+        ServingSpec spec;
+        spec.arrivals.kind = mix;
+        spec.arrivals.ratePerS = 400.0;
+        spec.durationS = 0.5;
+        specs.push_back(spec);
+    }
+    for (ServingSpec &spec : specs) {
+        double last = 0.0;
+        for (const int replicas : {1, 4, 8}) {
+            spec.replicas = replicas;
+            const ServingReport rep = simulate(spec);
+            if (replicas > 1) {
+                EXPECT_LT(rep.p99S, last)
+                    << "p99 must shrink from " << last << " at "
+                    << replicas << " replicas ("
+                    << spec.streams[0].network << ", "
+                    << arrivalKindName(spec.arrivals.kind) << ")";
+            }
+            last = rep.p99S;
         }
-        last = rep.p99S;
     }
 }
 
@@ -400,6 +518,12 @@ TEST(CliDeathTest, ParseDurationRejectsMalformedInput)
     EXPECT_DEATH(cli::parseDuration("--t", "banana"),
                  "not a duration");
     EXPECT_DEATH(cli::parseDuration("--t", ""), "empty");
+    // strtod reads nan and inf; an infinite duration never ends the
+    // arrival trace.
+    EXPECT_DEATH(cli::parseDuration("--t", "infs"), "not a finite");
+    EXPECT_DEATH(cli::parseDuration("--t", "nanms"), "not a finite");
+    EXPECT_DEATH(cli::parseDuration("--t", "infinityus"),
+                 "not a finite");
 }
 
 TEST(Cli, ParseRateAcceptsMultipliers)
@@ -418,6 +542,42 @@ TEST(CliDeathTest, ParseRateRejectsMalformedInput)
     EXPECT_DEATH(cli::parseRate("--r", "-5/s"), "positive");
     EXPECT_DEATH(cli::parseRate("--r", "0/s"), "positive");
     EXPECT_DEATH(cli::parseRate("--r", "fast"), "not a rate");
+    // An infinite rate never ends the arrival trace, and a finite
+    // mantissa can overflow its multiplier.
+    EXPECT_DEATH(cli::parseRate("--r", "inf/s"), "not a finite");
+    EXPECT_DEATH(cli::parseRate("--r", "nan/s"), "not a finite");
+    EXPECT_DEATH(cli::parseRate("--r", "1e306G/s"), "not a finite");
+}
+
+TEST(CliDeathTest, ParseDoubleRejectsNonFiniteValues)
+{
+    EXPECT_DOUBLE_EQ(cli::parseDouble("--x", "-2.5e3"), -2500.0);
+    EXPECT_DEATH(cli::parseDouble("--x", "nan"), "not a finite");
+    EXPECT_DEATH(cli::parseDouble("--x", "-inf"), "not a finite");
+    EXPECT_DEATH(cli::parseDoubleList("--x", "1e-3,inf"),
+                 "not a finite");
+}
+
+TEST(Cli, ParseIntInAcceptsTheWholeRange)
+{
+    EXPECT_EQ(cli::parseIntIn("--n", "2147483647"), 2147483647);
+    EXPECT_EQ(cli::parseIntIn("--n", "-2147483648"),
+              std::numeric_limits<int>::min());
+    EXPECT_EQ(cli::parseIntIn("--n", "-1"), -1);
+    EXPECT_EQ(cli::parseIntIn("--n", "1", 1), 1);
+}
+
+TEST(CliDeathTest, ParseIntInRejectsValuesThatWouldWrap)
+{
+    // int(4294967297) is 1: "--replicas 4294967297" must not run one
+    // replica.
+    EXPECT_DEATH(cli::parseIntIn("--replicas", "4294967297", 1),
+                 "--replicas must be in \\[1, 2147483647\\]");
+    EXPECT_DEATH(cli::parseIntIn("--n", "2147483648"), "must be in");
+    EXPECT_DEATH(cli::parseIntIn("--n", "-2147483649"), "must be in");
+    EXPECT_DEATH(cli::parseIntIn("--replicas", "0", 1), "must be in");
+    EXPECT_DEATH(cli::parseIntIn("--n", "99999999999999999999"),
+                 "not an integer");
 }
 
 // ---------------------------------------------------------------
