@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -25,6 +24,7 @@
 #include <vector>
 
 #include "common/cache.hh"
+#include "common/export_util.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
@@ -121,13 +121,13 @@ class JsonReport
             if (!firstSeries)
                 out += ",";
             firstSeries = false;
-            out += "\n    \"" + escape(s.name) + "\": [";
+            out += "\n    \"" + jsonEscape(s.name) + "\": [";
             bool firstPoint = true;
             for (const auto &[label, value] : s.points) {
                 if (!firstPoint)
                     out += ",";
                 firstPoint = false;
-                out += "\n      {\"label\": \"" + escape(label) +
+                out += "\n      {\"label\": \"" + jsonEscape(label) +
                        "\", \"value\": " + num(value) + "}";
             }
             out += "\n    ]";
@@ -138,9 +138,9 @@ class JsonReport
             if (!firstBench)
                 out += ",";
             firstBench = false;
-            out += "\n    {\"name\": \"" + escape(b.name) +
-                   "\", \"isa\": \"" + escape(b.isa) +
-                   "\", \"unit\": \"" + escape(b.unit) +
+            out += "\n    {\"name\": \"" + jsonEscape(b.name) +
+                   "\", \"isa\": \"" + jsonEscape(b.isa) +
+                   "\", \"unit\": \"" + jsonEscape(b.unit) +
                    "\", \"warmup\": " + std::to_string(b.warmup) +
                    ", \"trim\": " + std::to_string(b.trim) +
                    ",\n     \"samples_ns\": [";
@@ -167,7 +167,7 @@ class JsonReport
                std::to_string(ThreadPool::globalThreadCount()) +
                ", \"cache\": " +
                (cacheEnabled() ? "true" : "false") + ", \"env\": {" +
-               envEntries() + "}},\n";
+               envJsonMembers() + "}},\n";
         out += "  \"metrics\": " + metrics::toJson() + "\n}\n";
         return out;
     }
@@ -197,44 +197,6 @@ class JsonReport
         char buf[48];
         std::snprintf(buf, sizeof(buf), "%.17g", v);
         return buf;
-    }
-
-    static std::string
-    escape(const std::string &s)
-    {
-        std::string out;
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                out.push_back('\\');
-            out.push_back(c);
-        }
-        return out;
-    }
-
-    static std::string
-    envEntries()
-    {
-        std::string out;
-        bool first = true;
-        for (const char *name :
-             {"INCA_TRACE", "INCA_METRICS", "INCA_NUM_THREADS",
-              "INCA_CACHE", "INCA_KERNEL_ISA"}) {
-            if (!first)
-                out += ", ";
-            first = false;
-            const char *v = std::getenv(name);
-            out += '"';
-            out += name;
-            out += "\": ";
-            if (v) {
-                out += '"';
-                out += escape(v);
-                out += '"';
-            } else {
-                out += "null";
-            }
-        }
-        return out;
     }
 
     std::vector<Series> series_;

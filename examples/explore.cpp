@@ -169,13 +169,13 @@ main(int argc, char **argv)
             opt.faultBer = cli::parseDouble(a, value(i));
         } else if (std::strcmp(a, "--retries") == 0) {
             opt.mitigation.writeVerifyRetries =
-                cli::parseIntIn(a, value(i));
+                cli::parseIntIn(a, value(i), 0);
         } else if (std::strcmp(a, "--spare-rows") == 0) {
             opt.mitigation.spareRows =
-                cli::parseIntIn(a, value(i));
+                cli::parseIntIn(a, value(i), 0);
         } else if (std::strcmp(a, "--spare-cols") == 0) {
             opt.mitigation.spareCols =
-                cli::parseIntIn(a, value(i));
+                cli::parseIntIn(a, value(i), 0);
         } else if (std::strcmp(a, "--eval-batch") == 0) {
             opt.evalBatch =
                 std::size_t(cli::parsePositive(a, value(i)));

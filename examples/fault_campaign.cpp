@@ -104,13 +104,13 @@ main(int argc, char **argv)
             opt.fault.seed = cli::parseU64(a, value(i));
         } else if (std::strcmp(a, "--retries") == 0) {
             opt.mitigation.writeVerifyRetries =
-                cli::parseIntIn(a, value(i));
+                cli::parseIntIn(a, value(i), 0);
         } else if (std::strcmp(a, "--spare-rows") == 0) {
             opt.mitigation.spareRows =
-                cli::parseIntIn(a, value(i));
+                cli::parseIntIn(a, value(i), 0);
         } else if (std::strcmp(a, "--spare-cols") == 0) {
             opt.mitigation.spareCols =
-                cli::parseIntIn(a, value(i));
+                cli::parseIntIn(a, value(i), 0);
         } else if (std::strcmp(a, "--bers") == 0) {
             const char *v = value(i);
             opt.bers = std::strcmp(v, "none") == 0

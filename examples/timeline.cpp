@@ -21,7 +21,7 @@
  *     --report-csv <path>     write the per-unit report table as CSV
  *
  * Stdout is byte-stable across backends with --overlap off (the
- * bit-exactness contract; CI diffs analytic vs event output) and
+ * bit-exactness contract tests/test_event_backend.cc checks) and
  * across thread counts; the bottleneck report is a
  * pure function of the schedule, so it keeps that property. Schedule
  * diagnostics go to stderr. With INCA_TRACE=<path> the event backend

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/cache.hh"
+#include "common/env.hh"
 #include "common/thread_pool.hh"
 
 namespace inca {
@@ -47,23 +48,41 @@ csvField(const std::string &s)
 std::string
 jsonEscape(const std::string &s)
 {
+    static const char hex[] = "0123456789abcdef";
     std::string out;
     out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\')
+    for (const char c : s) {
+        const unsigned char u = static_cast<unsigned char>(c);
+        if (c == '"' || c == '\\') {
             out.push_back('\\');
-        out.push_back(c);
+            out.push_back(c);
+        } else if (c == '\n') {
+            out += "\\n";
+        } else if (c == '\t') {
+            out += "\\t";
+        } else if (u < 0x20) {
+            out += "\\u00";
+            out.push_back(hex[u >> 4]);
+            out.push_back(hex[u & 0xf]);
+        } else {
+            out.push_back(c);
+        }
     }
     return out;
 }
 
 std::string
-envJson(const char *name)
+envJsonMembers()
 {
-    const char *v = std::getenv(name);
-    if (v == nullptr)
-        return "null";
-    return "\"" + jsonEscape(v) + "\"";
+    std::string out;
+    for (const std::string &name : knownEnvVars()) {
+        if (!out.empty())
+            out += ", ";
+        const char *v = std::getenv(name.c_str());
+        out += "\"" + name + "\": " +
+               (v ? "\"" + jsonEscape(v) + "\"" : std::string("null"));
+    }
+    return out;
 }
 
 std::string
@@ -82,16 +101,7 @@ provenanceJson(const std::string &leadMember,
 #else
     os << indent << "\"build_type\": \"unknown\",\n";
 #endif
-    os << indent << "\"env\": {";
-    bool firstEnv = true;
-    for (const char *name : {"INCA_TRACE", "INCA_METRICS",
-                             "INCA_NUM_THREADS", "INCA_CACHE"}) {
-        if (!firstEnv)
-            os << ", ";
-        firstEnv = false;
-        os << "\"" << name << "\": " << envJson(name);
-    }
-    os << "}\n";
+    os << indent << "\"env\": {" << envJsonMembers() << "}\n";
     return os.str();
 }
 

@@ -40,11 +40,23 @@ std::string num17(double v);
  */
 std::string csvField(const std::string &s);
 
-/** Escape a string for a JSON literal (names are simple but safe). */
+/**
+ * Escape a string for the inside of a JSON string literal. A double
+ * quote or backslash is backslash-escaped, newline and tab use the
+ * JSON short escapes, and every other byte below 0x20 becomes a
+ * \u00xx escape. Every emitter uses this one escaper, so a control
+ * character in a name or an environment value never makes an export
+ * invalid JSON; the DSE journal's reader depends on these exact
+ * bytes.
+ */
 std::string jsonEscape(const std::string &s);
 
-/** Value of an environment variable as a JSON literal; null if unset. */
-std::string envJson(const char *name);
+/**
+ * "NAME": value members for every knownEnvVars() name (null when the
+ * variable is unset), comma separated, without braces: the env
+ * object of every provenance block.
+ */
+std::string envJsonMembers();
 
 /**
  * The standard run-provenance manifest body: enough to reproduce the

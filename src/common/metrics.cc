@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "common/export_util.hh"
 #include "common/logging.hh"
 
 namespace inca {
@@ -191,19 +192,6 @@ num(double v)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 } // namespace

@@ -1,8 +1,11 @@
 #include "common/thread_pool.hh"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <memory>
 
@@ -21,16 +24,27 @@ namespace {
 /** True while the current thread is executing a pool task. */
 thread_local bool tlsInsidePool = false;
 
+/**
+ * INCA_NUM_THREADS: unset or empty means the hardware thread count;
+ * anything else must be a whole decimal integer >= 1 that fits an
+ * int. A typo must not silently run on every core.
+ */
 int
 threadsFromEnv()
 {
-    if (const char *env = std::getenv("INCA_NUM_THREADS")) {
-        const int n = std::atoi(env);
-        if (n >= 1)
-            return n;
+    const char *env = std::getenv("INCA_NUM_THREADS");
+    if (env == nullptr || *env == '\0') {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw == 0 ? 1 : int(hw);
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : int(hw);
+    const char *end = env + std::strlen(env);
+    int n = 0;
+    const std::from_chars_result r = std::from_chars(env, end, n);
+    if (r.ec != std::errc() || r.ptr != end || n < 1)
+        fatal("INCA_NUM_THREADS='%s' is not a whole number in "
+              "[1, %d]",
+              env, INT_MAX);
+    return n;
 }
 
 /** Storage of the global pool, shared by global() and resizing. */
@@ -74,12 +88,26 @@ ThreadPool::ThreadPool(int threads)
 {
     if (threads < 1)
         threads = 1;
-    workers_.reserve(size_t(threads - 1));
-    for (int i = 0; i < threads - 1; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i + 1); });
+    try {
+        workers_.reserve(size_t(threads - 1));
+        for (int i = 0; i < threads - 1; ++i)
+            workers_.emplace_back([this, i] { workerLoop(i + 1); });
+    } catch (const std::exception &e) {
+        const std::size_t started = workers_.size();
+        stopWorkers();
+        fatal("cannot start a pool of %d threads: worker %zu failed "
+              "(%s); lower INCA_NUM_THREADS",
+              threads, started + 1, e.what());
+    }
 }
 
 ThreadPool::~ThreadPool()
+{
+    stopWorkers();
+}
+
+void
+ThreadPool::stopWorkers()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -19,7 +19,9 @@
  *
  * The pool size comes from INCA_NUM_THREADS (default: all hardware
  * threads); a value of 1 disables the workers entirely and every
- * parallel_for runs serially on the caller.
+ * parallel_for runs serially on the caller. A value that is not a
+ * whole number >= 1, or a pool whose workers cannot all start, is a
+ * fatal() that names the variable.
  */
 
 #ifndef INCA_COMMON_THREAD_POOL_HH
@@ -85,6 +87,8 @@ class ThreadPool
 
     void workerLoop(int index);
     void runJob(Job &job);
+    /** Stop and join every started worker. */
+    void stopWorkers();
 
     std::vector<std::thread> workers_;
 

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <thread>
 
+#include "common/export_util.hh"
+
 namespace inca {
 namespace trace {
 
@@ -114,25 +116,6 @@ emit(Event &&e)
     std::lock_guard<std::mutex> lock(buf.mutex);
     e.tid = buf.tid;
     buf.events.push_back(std::move(e));
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
 }
 
 /** Serialize under the registry lock (buffers locked one at a time). */

@@ -1,5 +1,6 @@
 #include "dse/constraints.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -33,6 +34,12 @@ Constraints::set(const std::string &keyValue)
     if (end == text.c_str() || *end != '\0')
         fatal("constraint '%s': unparsable value '%s'", key.c_str(),
               text.c_str());
+    // Every bound reads <= 0 as "unset" and NaN fails every
+    // comparison, so either would silently switch the bound off.
+    if (!std::isfinite(v) || v < 0.0)
+        fatal("constraint '%s': value '%s' must be a finite number "
+              ">= 0",
+              key.c_str(), text.c_str());
     if (key == "max_area_mm2")
         maxAreaMm2 = v;
     else if (key == "max_idle_w")

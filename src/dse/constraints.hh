@@ -66,8 +66,8 @@ struct Constraints
      * Apply one "key=value" bound (the CLI / journal spelling):
      * max_area_mm2, max_idle_w, min_utilization, min_accuracy,
      * min_accuracy_at_ber, lossless_adc, max_p99_ms,
-     * min_availability. Fatal on an unknown key or
-     * unparsable value.
+     * min_availability. Fatal on an unknown key or an
+     * unparsable, non-finite or negative value.
      */
     void set(const std::string &keyValue);
 

@@ -22,7 +22,7 @@
  * with 0 ULP error by construction. Each share is reported as a
  * double-double (hi + lo); summing every unit's hi and lo with
  * math.fsum / ExactSum and rounding recovers the makespan exactly
- * (tests and CI assert this).
+ * (tests/test_event_analysis.cc asserts this).
  *
  * Slack. Total slack -- how late an instruction could start without
  * growing the makespan -- is computed with the gap recursion
@@ -59,7 +59,7 @@ namespace event {
  * exact for any sequence of finite doubles, round() returns the
  * correctly-rounded double of the exact sum, and pair() returns the
  * double-double (hi = round(), lo = round(exact - hi)). Used for the
- * 0-ULP share-sum contract; exposed for tests and CI cross-checks.
+ * 0-ULP share-sum contract; exposed for tests.
  */
 class ExactSum
 {
@@ -182,8 +182,8 @@ std::string reportText(const ir::Program &p, const Report &r);
 
 /**
  * Strict JSON report with the standard provenance manifest. Numbers
- * are %.17g, so every double round-trips; CI re-sums the shares with
- * math.fsum and compares against makespan_s for bit equality.
+ * are %.17g, so every double round-trips: math.fsum over the exported
+ * shares equals makespan_s bit for bit.
  */
 std::string reportJson(const ir::Program &p, const Report &r);
 

@@ -320,23 +320,13 @@ campaignJson(const CampaignResult &result)
        << ", \"spare_rows\": " << opt.mitigation.spareRows
        << ", \"spare_cols\": " << opt.mitigation.spareCols << "},\n";
     os << "  \"trials_run\": " << result.trialsRun << ",\n";
-    // The same run-provenance manifest the DSE frontier embeds.
-    os << "  \"provenance\": {\n";
-    os << "    \"threads\": " << ThreadPool::globalThreadCount()
-       << ",\n";
-    os << "    \"cache\": " << (cacheEnabled() ? "true" : "false")
-       << ",\n";
-    os << "    \"env\": {";
-    bool firstEnv = true;
-    for (const char *name : {"INCA_TRACE", "INCA_METRICS",
-                             "INCA_NUM_THREADS", "INCA_CACHE"}) {
-        if (!firstEnv)
-            os << ", ";
-        firstEnv = false;
-        os << "\"" << name << "\": " << envJson(name);
-    }
-    os << "}\n";
-    os << "  },\n";
+    // The same run-provenance manifest the DSE frontier embeds; the
+    // fault seed picks every trial's stream, so it names the run.
+    os << "  \"provenance\": {\n"
+       << provenanceJson("\"fault_seed\": " +
+                             std::to_string(opt.fault.seed),
+                         "    ")
+       << "  },\n";
     os << "  \"curves\": [\n";
     for (std::size_t c = 0; c < result.curves.size(); ++c) {
         const CampaignCurve &curve = result.curves[c];

@@ -3,12 +3,15 @@
  * Minimal strict JSON validator for tests: enough of RFC 8259 to
  * reject anything Python's json.load / Perfetto would reject
  * (unbalanced structure, bare words, trailing commas, bad escapes),
- * without pulling a JSON library into the build.
+ * without pulling a JSON library into the build. Also the cut that
+ * byte-identity checks apply to every export: the JSON without its
+ * provenance block.
  */
 
 #ifndef INCA_TESTS_JSON_LINT_HH
 #define INCA_TESTS_JSON_LINT_HH
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 
@@ -208,6 +211,42 @@ inline bool
 jsonValid(const std::string &text)
 {
     return JsonLint(text).valid();
+}
+
+/**
+ * @p json with its "provenance" object cut out. That block records
+ * the thread count, cache switch, build and INCA_* environment of the
+ * run; every other byte of an export is a pure function of the spec,
+ * so two runs compare equal through this. The cut leaves the
+ * separators around the member, so the result is for comparing, not
+ * parsing.
+ */
+inline std::string
+withoutProvenance(const std::string &json)
+{
+    const size_t key = json.find("\"provenance\"");
+    if (key == std::string::npos)
+        return json;
+    size_t i = json.find('{', key);
+    int depth = 0;
+    bool quoted = false;
+    for (; i < json.size(); ++i) {
+        const char c = json[i];
+        if (quoted) {
+            if (c == '\\')
+                ++i;
+            else if (c == '"')
+                quoted = false;
+        } else if (c == '"') {
+            quoted = true;
+        } else if (c == '{') {
+            ++depth;
+        } else if (c == '}' && --depth == 0) {
+            break;
+        }
+    }
+    return json.substr(0, key) +
+           json.substr(std::min(i + 1, json.size()));
 }
 
 } // namespace testutil

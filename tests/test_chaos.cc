@@ -19,6 +19,7 @@
 
 #include "common/export_util.hh"
 #include "dse/explorer.hh"
+#include "examples/cli.hh"
 #include "json_lint.hh"
 #include "serving/export.hh"
 #include "serving/failures.hh"
@@ -792,6 +793,40 @@ TEST(DseChaos, MinAvailabilityConstraintRejectsAfterScoring)
         EXPECT_NE(e.rejectedBy.find("min_availability"),
                   std::string::npos);
     }
+
+    // explore --network lenet5 --axis replicas=1,2 --axis plane=16
+    //   --axis failure_mtbf=0,20
+    //   --objectives availability,energy_per_request
+    //   --constraint min_availability=0.9 --arrivals poisson
+    //   --rate 20k/s --serve-duration 100ms --batch-policy 4:1ms
+    //   --slo-ms 5
+    dse::ExploreOptions cliOpt;
+    cliOpt.network = "lenet5";
+    cliOpt.objectives =
+        dse::objectivesByNames("availability,energy_per_request");
+    cliOpt.constraints.set("min_availability=0.9");
+    cliOpt.serving.arrivals.kind = arrivalKindByName("poisson");
+    cliOpt.serving.arrivals.ratePerS =
+        cli::parseRate("--rate", "20k/s");
+    cliOpt.serving.durationS =
+        cli::parseDuration("--serve-duration", "100ms");
+    cliOpt.serving.batch.maxBatch = 4;
+    cliOpt.serving.batch.timeoutS =
+        cli::parseDuration("--batch-policy", "1ms");
+    cliOpt.serving.sloS = cli::parseDouble("--slo-ms", "5") * 1e-3;
+    dse::SearchSpace cliSpace;
+    cliSpace.axis("replicas", {1, 2})
+        .axis("plane", {16})
+        .axis("failure_mtbf", {0, 20});
+    dse::Explorer bounded(cliSpace, cliOpt);
+    const dse::ExploreResult kept = bounded.run();
+    ASSERT_FALSE(kept.frontier.empty());
+    for (const auto &e : kept.frontier)
+        EXPECT_GE(e.availability, 0.9);
+    EXPECT_NE(dse::frontierCsv(bounded.space(), kept.frontier,
+                               cliOpt.objectives)
+                  .find("availability"),
+              std::string::npos);
 }
 
 TEST(DseChaos, ChaosSignatureOnlyWhenChaosIsActive)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Circuit-model tests against the paper's published constants
- * (Table II) and scaling claims.
+ * (Table II) and scaling claims, plus the 3D-structure choice
+ * (Section IV-A: why INCA uses HRRAM).
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "circuit/cells.hh"
 #include "circuit/digital.hh"
 #include "circuit/rram.hh"
+#include "circuit/rram3d.hh"
 #include "circuit/tech.hh"
 
 namespace inca {
@@ -183,6 +185,52 @@ TEST(Digital, RelativeCosts)
     EXPECT_LT(m.andGate, m.adder8bit / 2.0);
     EXPECT_LT(m.andGate, m.lutLookup / 2.0);
     EXPECT_GT(m.shiftAccumulate, m.adder8bit);
+}
+
+TEST(Rram3D, IncaGeometryFeasibleOnlyAsHrram)
+{
+    // 16 x 16 x 64: 64 planes exceed the vertical-layer limit but fit
+    // the horizontal-stacking envelope -- "INCA demands a design with
+    // highly stacked 3D RRAM but not a large size plane. Therefore,
+    // we chose HRRAM."
+    const auto v = incaChoice(Stack3DStyle::Vrram);
+    const auto h = incaChoice(Stack3DStyle::Hrram);
+    EXPECT_FALSE(v.feasible);
+    EXPECT_NE(v.reason.find("vertical layer"), std::string::npos);
+    EXPECT_TRUE(h.feasible);
+    EXPECT_EQ(h.cells, 16 * 16 * 64);
+}
+
+TEST(Rram3D, HrramFootprintMatchesTableV)
+{
+    // The HRRAM evaluation of the Table II stack must equal the area
+    // model's 49.152 um^2 figure.
+    const auto h = incaChoice(Stack3DStyle::Hrram);
+    EXPECT_NEAR(h.footprint, 49.152e-12, 1.0e-12);
+}
+
+TEST(Rram3D, VrramSuitsShallowStacks)
+{
+    // A shallow, wide structure is VRRAM territory.
+    const auto v = evaluate3D(Stack3DStyle::Vrram, 64, 8, Cell2T1R{});
+    EXPECT_TRUE(v.feasible);
+    const auto h = evaluate3D(Stack3DStyle::Hrram, 65, 8, Cell2T1R{});
+    EXPECT_FALSE(h.feasible);
+    EXPECT_NE(h.reason.find("plane side"), std::string::npos);
+}
+
+TEST(Rram3D, HorizontalStackLimitEnforced)
+{
+    const auto h =
+        evaluate3D(Stack3DStyle::Hrram, 16, 256, Cell2T1R{});
+    EXPECT_FALSE(h.feasible);
+    EXPECT_NE(h.reason.find("horizontal"), std::string::npos);
+}
+
+TEST(Rram3D, StyleNames)
+{
+    EXPECT_STREQ(stack3DStyleName(Stack3DStyle::Vrram), "VRRAM");
+    EXPECT_STREQ(stack3DStyleName(Stack3DStyle::Hrram), "HRRAM");
 }
 
 } // namespace

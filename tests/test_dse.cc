@@ -17,6 +17,7 @@
 
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "driver_specs.hh"
 #include "dse/explorer.hh"
 #include "dse/journal.hh"
 #include "dse/pareto.hh"
@@ -269,6 +270,24 @@ TEST(ConstraintsDeath, UnknownKeyIsFatal)
     EXPECT_DEATH(c.set("max_teapots=7"), "unknown constraint");
 }
 
+TEST(ConstraintsDeath, NonFiniteOrNegativeValueIsFatal)
+{
+    // Each bound reads <= 0 as unset and NaN fails every comparison,
+    // so accepting these would switch the bound off without a word.
+    for (const char *kv :
+         {"max_area_mm2=nan", "max_area_mm2=-nan", "max_area_mm2=inf",
+          "max_area_mm2=1e999", "max_area_mm2=-5",
+          "min_utilization=-1", "min_availability=nan",
+          "max_p99_ms=nan"}) {
+        SCOPED_TRACE(kv);
+        const std::string key =
+            std::string(kv).substr(0, std::string(kv).find('='));
+        Constraints c;
+        EXPECT_EXIT(c.set(kv), ::testing::ExitedWithCode(1),
+                    "constraint '" + key + "'");
+    }
+}
+
 TEST(Constraints, RejectionNamesTheBound)
 {
     Constraints c;
@@ -402,6 +421,56 @@ TEST(Strategy, AnnealIsDeterministic)
 }
 
 // ---------------------------------------------------------------
+// Shared run helpers
+
+/**
+ * explore --strategy random --seed 7 --budget 48: resnet18 on the
+ * default inca space, the CLI's defaults otherwise.
+ */
+ExploreOptions
+randomSeed7Options()
+{
+    ExploreOptions opt;
+    opt.strategy = StrategyKind::Random;
+    opt.seed = 7;
+    opt.budget = 48;
+    return opt;
+}
+
+/** The frontier CSV of @p explorer's @p result. */
+std::string
+csvOf(const Explorer &explorer, const ExploreResult &result)
+{
+    return frontierCsv(explorer.space(), result.frontier,
+                       explorer.options().objectives);
+}
+
+/** Every export and count explore prints or writes for one run. */
+std::string
+exploreOutputs(const SearchSpace &space, const ExploreOptions &opt)
+{
+    Explorer explorer(space, opt);
+    const ExploreResult result = explorer.run();
+    return std::to_string(result.evaluations.size()) + " " +
+           std::to_string(result.scored) + " " +
+           std::to_string(result.filtered) + " " +
+           std::to_string(result.reused) + "\n" +
+           csvOf(explorer, result) +
+           testutil::withoutProvenance(frontierJson(explorer, result));
+}
+
+/** The lines of the file at @p path. */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+// ---------------------------------------------------------------
 // Journal
 
 TEST(Journal, EvalLineRoundTrips)
@@ -468,6 +537,17 @@ TEST(Journal, LinesAreValidJson)
     e.rejectedBy = "min_accuracy (0.1 < 0.9)";
     e.objectives = {1.5, 2.5, 3.5};
     EXPECT_TRUE(testutil::JsonLint(evalToJsonLine(e)).valid());
+
+    // Every line a real run writes: explore's seeded random search.
+    ExploreOptions opt = randomSeed7Options();
+    opt.journalPath = ::testing::TempDir() + "/dse_lint.jsonl";
+    Explorer explorer(defaultSpace(EngineKind::Inca), opt);
+    explorer.run();
+    const std::vector<std::string> lines = readLines(opt.journalPath);
+    EXPECT_EQ(lines.size(), 49u); // header + 48 evaluations
+    for (const std::string &line : lines)
+        EXPECT_TRUE(testutil::JsonLint(line).valid()) << line;
+    std::remove(opt.journalPath.c_str());
 }
 
 TEST(Journal, TornTailTolerated)
@@ -524,17 +604,21 @@ explorerOptions()
 
 TEST(Explorer, FrontierIdenticalAcrossThreadCounts)
 {
-    std::string reference;
+    const SearchSpace wide = defaultSpace(EngineKind::Inca);
+    std::string small, seeded;
     for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
-        Explorer explorer(explorerSpace(), explorerOptions());
-        const ExploreResult result = explorer.run();
-        const std::string csv = frontierCsv(
-            explorer.space(), result.frontier,
-            explorer.options().objectives);
-        if (reference.empty())
-            reference = csv;
-        EXPECT_EQ(csv, reference) << "at " << threads << " threads";
+        const std::string a =
+            exploreOutputs(explorerSpace(), explorerOptions());
+        const std::string b =
+            exploreOutputs(wide, randomSeed7Options());
+        if (small.empty()) {
+            small = a;
+            seeded = b;
+        }
+        EXPECT_EQ(a, small);
+        EXPECT_EQ(b, seeded);
     }
     ThreadPool::setGlobalThreads(1);
 }
@@ -566,6 +650,20 @@ TEST(Explorer, SoftConstraintStillScores)
     EXPECT_EQ(result.scored, result.evaluations.size());
     // Infeasible points never join the frontier, soft or not.
     EXPECT_TRUE(result.frontier.empty());
+
+    // design_space's ADC sweep: the clipping 3-bit row still scores,
+    // and the warning names it and the bound.
+    Explorer adc(testutil::designSpaceAdcSweep(),
+                 testutil::designSpaceOptions());
+    ::testing::internal::CaptureStderr();
+    const ExploreResult adcResult = adc.run();
+    const std::string warnings =
+        ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(adcResult.scored, 4u);
+    EXPECT_NE(warnings.find("adc_bits=3 rejected by lossless_adc"),
+              std::string::npos)
+        << warnings;
+    EXPECT_EQ(warnings.find("adc_bits=4"), std::string::npos);
 }
 
 TEST(Explorer, BudgetBoundsEvaluations)
@@ -619,6 +717,29 @@ TEST(Explorer, ResumeMatchesUninterrupted)
     EXPECT_EQ(frontierCsv(replayed.space(), replay.frontier,
                           resumeOpt.objectives),
               wantCsv);
+
+    // explore's seeded run, killed after the header and 20
+    // evaluations in the middle of the 21st line.
+    ExploreOptions seededOpt = randomSeed7Options();
+    seededOpt.journalPath = full;
+    Explorer seeded(defaultSpace(EngineKind::Inca), seededOpt);
+    const std::string seededCsv = csvOf(seeded, seeded.run());
+    {
+        const std::vector<std::string> lines = readLines(full);
+        ASSERT_GT(lines.size(), 21u);
+        std::ofstream out(torn);
+        for (std::size_t i = 0; i < 21; ++i)
+            out << lines[i] << "\n";
+        out << "{\"type\":\"eval\",\"index\":3,\"feasib";
+    }
+    ExploreOptions seededResume = randomSeed7Options();
+    seededResume.journalPath = torn;
+    seededResume.resume = true;
+    Explorer resumedSeeded(defaultSpace(EngineKind::Inca),
+                           seededResume);
+    const ExploreResult seededGot = resumedSeeded.run();
+    EXPECT_EQ(seededGot.reused, 20u);
+    EXPECT_EQ(csvOf(resumedSeeded, seededGot), seededCsv);
 
     std::remove(full.c_str());
     std::remove(torn.c_str());

@@ -23,7 +23,9 @@
 #include "arch/config.hh"
 #include "common/cache.hh"
 #include "common/thread_pool.hh"
+#include "common/trace.hh"
 #include "dse/explorer.hh"
+#include "json_lint.hh"
 #include "test_fixtures.hh"
 
 namespace inca {
@@ -88,24 +90,6 @@ transcript(const std::vector<dse::Evaluation> &evals)
     return os.str();
 }
 
-/** Frontier JSON minus its provenance block (threads, cache flag). */
-std::string
-stripProvenance(const std::string &json)
-{
-    std::istringstream in(json);
-    std::string out, line;
-    bool inside = false;
-    while (std::getline(in, line)) {
-        if (line == "  \"provenance\": {")
-            inside = true;
-        else if (inside && line == "  },")
-            inside = false;
-        else if (!inside)
-            out += line + "\n";
-    }
-    return out;
-}
-
 std::string
 slurp(const std::string &path)
 {
@@ -122,7 +106,8 @@ exploreOutputs(const std::string &journalPath)
     dse::Explorer explorer(memoSpace(), memoOptions(journalPath));
     const dse::ExploreResult result = explorer.run();
     return transcript(result.evaluations) + "--\n" +
-           stripProvenance(dse::frontierJson(explorer, result)) +
+           testutil::withoutProvenance(
+               dse::frontierJson(explorer, result)) +
            "--\n" +
            dse::frontierCsv(explorer.space(), result.frontier,
                             explorer.options().objectives) +
@@ -220,6 +205,27 @@ TEST_F(EvalCacheTest, RepeatedRunsHitTheCache)
         EXPECT_EQ(s.misses, distinct);
         EXPECT_EQ(s.hits, proposals - distinct);
     }
+}
+
+TEST_F(EvalCacheTest, TracedRunEmitsMemoCounterEvents)
+{
+    // A traced run shows what the memo bought as Chrome counter
+    // tracks next to the spans.
+    trace::clear();
+    trace::start("");
+    {
+        dse::Explorer explorer(memoSpace(), memoOptions());
+        explorer.run();
+    }
+    const std::vector<trace::Event> events = trace::snapshot();
+    trace::stop();
+    trace::clear();
+    std::set<std::string> counters;
+    for (const trace::Event &e : events)
+        if (e.ph == 'C')
+            counters.insert(e.name);
+    EXPECT_EQ(counters.count("cache.dse.eval.hits"), 1u);
+    EXPECT_EQ(counters.count("cache.dse.eval.misses"), 1u);
 }
 
 TEST_F(EvalCacheTest, DisabledCacheComputesEveryTime)

@@ -24,9 +24,11 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/config.hh"
+#include "common/export_util.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
@@ -84,6 +86,30 @@ zooCases()
                              arch::Phase::Training, overlap});
         }
     return cases;
+}
+
+/**
+ * timeline --network {vgg16,resnet18} --batch 64 --report: the two
+ * runs the driver's bottleneck report is documented on (inca,
+ * inference, overlap off).
+ */
+std::vector<Case>
+reportCases()
+{
+    return {{nn::vgg16(), true, arch::Phase::Inference, false},
+            {nn::resnet18(), true, arch::Phase::Inference, false}};
+}
+
+/** zooCases() at batch 16, then reportCases() at batch 64. */
+std::vector<std::pair<Case, int>>
+zooAndReportCases()
+{
+    std::vector<std::pair<Case, int>> out;
+    for (const Case &c : zooCases())
+        out.push_back({c, 16});
+    for (const Case &c : reportCases())
+        out.push_back({c, 64});
+    return out;
 }
 
 ir::Program
@@ -180,9 +206,9 @@ TEST(EventAnalysisTest, PathRefoldsToMakespanBitExactly)
 
 TEST(EventAnalysisTest, SharesSumToMakespanWithZeroUlpError)
 {
-    for (const Case &c : zooCases()) {
-        SCOPED_TRACE(c.describe());
-        const ir::Program p = lowerCase(c);
+    for (const auto &[c, batch] : zooAndReportCases()) {
+        SCOPED_TRACE(c.describe() + ".b" + std::to_string(batch));
+        const ir::Program p = lowerCase(c, batch);
         const event::TimedRun t = event::execute(p);
         event::AnalyzeOptions opts;
         opts.runWhatIf = false;
@@ -199,6 +225,14 @@ TEST(EventAnalysisTest, SharesSumToMakespanWithZeroUlpError)
             layers.add(ls.share.lo);
         }
         EXPECT_EQ(layers.round(), t.makespan);
+        // The named bottleneck is the first unit with the largest
+        // share.
+        const event::UnitReport *largest = &r.units.front();
+        for (const event::UnitReport &row : r.units)
+            if (row.criticalFraction > largest->criticalFraction)
+                largest = &row;
+        EXPECT_EQ(r.bottleneck, largest->unit);
+        EXPECT_EQ(r.bottleneckFraction, largest->criticalFraction);
     }
 }
 
@@ -221,9 +255,9 @@ TEST(EventAnalysisTest, SlackZeroOnPathNonNegativeElsewhere)
 
 TEST(EventAnalysisTest, OccupancyNeverInflatesUtilization)
 {
-    for (const Case &c : zooCases()) {
-        SCOPED_TRACE(c.describe());
-        const ir::Program p = lowerCase(c);
+    for (const auto &[c, batch] : zooAndReportCases()) {
+        SCOPED_TRACE(c.describe() + ".b" + std::to_string(batch));
+        const ir::Program p = lowerCase(c, batch);
         const event::TimedRun t = event::execute(p);
         event::AnalyzeOptions opts;
         opts.runWhatIf = false;
@@ -295,6 +329,23 @@ TEST(EventAnalysisTest, OverhangReportedExplicitly)
     EXPECT_EQ(array.criticalShare.hi, 1.0);
     EXPECT_EQ(dram.criticalShare.hi, 0.0);
     EXPECT_EQ(r.bottleneck, ir::Unit::Array);
+
+    // The documented report runs carry an explicit, non-negative
+    // overhang on every unit row of their JSON.
+    for (const Case &rc : reportCases()) {
+        SCOPED_TRACE(rc.describe());
+        const ir::Program rp = lowerCase(rc, 64);
+        const event::Report rr = event::analyze(rp, event::execute(rp));
+        const std::string json = event::reportJson(rp, rr);
+        std::size_t rows = 0;
+        for (std::size_t at = json.find("\"overhang_s\": ");
+             at != std::string::npos;
+             at = json.find("\"overhang_s\": ", at + 1))
+            ++rows;
+        EXPECT_EQ(rows, rr.units.size());
+        for (const event::UnitReport &row : rr.units)
+            EXPECT_GE(row.overhang, 0.0) << ir::unitName(row.unit);
+    }
 }
 
 TEST(EventAnalysisTest, WhatIfUnityIsBitIdenticalNoOp)
@@ -334,6 +385,19 @@ TEST(EventAnalysisTest, WhatIfUnityIsBitIdenticalNoOp)
               event::reportText(scaled1, rs));
     EXPECT_EQ(event::reportCsv(p, rb),
               event::reportCsv(scaled1, rs));
+
+    // timeline --network vgg16 --batch 64 --what-if dram=1.0: the
+    // one what-if row reports the base makespan, no delta, no
+    // speedup.
+    event::AnalyzeOptions dramOnly;
+    dramOnly.whatIf = {{ir::Unit::Dram, 1.0}};
+    const event::Report rd = event::analyze(p, base, dramOnly);
+    EXPECT_NE(event::reportJson(p, rd).find(
+                  "\"what_if\": [\n    {\"unit\": \"dram\", "
+                  "\"factor\": 1, \"makespan_s\": " +
+                  num17(base.makespan) +
+                  ", \"delta_s\": 0, \"speedup\": 1}\n  ]"),
+              std::string::npos);
 }
 
 TEST(EventAnalysisTest, WhatIfScalingDownNeverSlower)
@@ -358,59 +422,66 @@ TEST(EventAnalysisTest, WhatIfScalingDownNeverSlower)
 
 TEST(EventAnalysisTest, ReportsByteIdenticalAcrossThreadCounts)
 {
-    const std::vector<Case> cases = {
-        {nn::vgg16(), true, arch::Phase::Inference, false},
-        {nn::vgg16(), true, arch::Phase::Inference, true},
-        {nn::resnet18(), false, arch::Phase::Training, false},
-        {nn::resnet18(), false, arch::Phase::Training, true},
+    // Four batch-16 cases, and the documented vgg16 report run.
+    const std::vector<std::pair<Case, int>> cases = {
+        {{nn::vgg16(), true, arch::Phase::Inference, false}, 16},
+        {{nn::vgg16(), true, arch::Phase::Inference, true}, 16},
+        {{nn::resnet18(), false, arch::Phase::Training, false}, 16},
+        {{nn::resnet18(), false, arch::Phase::Training, true}, 16},
+        {reportCases()[0], 64},
+    };
+    const auto reports = [](const Case &c, int batch) {
+        const ir::Program p = lowerCase(c, batch);
+        const event::Report r = event::analyze(p, event::execute(p));
+        return event::reportText(p, r) + event::reportCsv(p, r) +
+               testutil::withoutProvenance(event::reportJson(p, r));
     };
     std::vector<std::string> reference;
-    for (const Case &c : cases) {
-        const ir::Program p = lowerCase(c);
-        const event::Report r =
-            event::analyze(p, event::execute(p));
-        reference.push_back(event::reportText(p, r) +
-                            event::reportCsv(p, r));
-    }
+    for (const auto &[c, batch] : cases)
+        reference.push_back(reports(c, batch));
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
         for (std::size_t i = 0; i < cases.size(); ++i) {
-            SCOPED_TRACE(cases[i].describe());
-            const ir::Program p = lowerCase(cases[i]);
-            const event::Report r =
-                event::analyze(p, event::execute(p));
-            EXPECT_EQ(event::reportText(p, r) +
-                          event::reportCsv(p, r),
+            SCOPED_TRACE(cases[i].first.describe());
+            EXPECT_EQ(reports(cases[i].first, cases[i].second),
                       reference[i]);
         }
     }
+    ThreadPool::setGlobalThreads(1);
 }
 
 TEST(EventAnalysisTest, ReportJsonIsStrictAndCsvSchemasLint)
 {
-    const Case c{nn::vgg16(), true, arch::Phase::Inference, false};
-    const ir::Program p = lowerCase(c, 64);
-    const event::TimedRun t = event::execute(p);
-    const event::Report r = event::analyze(p, t);
+    for (const Case &c : reportCases()) {
+        SCOPED_TRACE(c.describe());
+        const ir::Program p = lowerCase(c, 64);
+        const event::TimedRun t = event::execute(p);
+        const event::Report r = event::analyze(p, t);
 
-    const std::string json = event::reportJson(p, r);
-    testutil::JsonLint lint(json);
-    EXPECT_TRUE(lint.valid())
-        << "bad JSON near byte " << lint.errorPos();
-    EXPECT_NE(json.find("\"kind\": \"event.bottleneck\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"bottleneck_unit\": \"array\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"provenance\""), std::string::npos);
+        const std::string json = event::reportJson(p, r);
+        testutil::JsonLint lint(json);
+        EXPECT_TRUE(lint.valid())
+            << "bad JSON near byte " << lint.errorPos();
+        EXPECT_NE(json.find("\"kind\": \"event.bottleneck\""),
+                  std::string::npos);
+        // vgg16's batch-64 inference is array-bound.
+        if (c.net.name == "vgg16") {
+            EXPECT_NE(json.find("\"bottleneck_unit\": \"array\""),
+                      std::string::npos);
+        }
+        EXPECT_NE(json.find("\"config_key_hash\": \"0x"),
+                  std::string::npos);
+        EXPECT_NE(p.configKeyHash, 0u);
 
-    // The report CSV and the per-layer run export share the same
-    // structural lint; the report additionally keeps a snake_case
-    // header.
-    const std::string reportCsv = event::reportCsv(p, r);
-    EXPECT_EQ(csvLint(reportCsv), "");
-    EXPECT_TRUE(headerIsSnake(reportCsv));
-    EXPECT_EQ(csvLint(sim::toCsv(t.run)), "");
+        // The report CSV and the per-layer run export share the same
+        // structural lint; the report additionally keeps a snake_case
+        // header.
+        const std::string reportCsv = event::reportCsv(p, r);
+        EXPECT_EQ(csvLint(reportCsv), "");
+        EXPECT_TRUE(headerIsSnake(reportCsv));
+        EXPECT_EQ(csvLint(sim::toCsv(t.run)), "");
+    }
 }
 
 TEST(EventAnalysisTest, PublishMetricsExportsOccupancyGauges)

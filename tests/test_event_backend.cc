@@ -14,6 +14,9 @@
  *  - the whole contract holds unchanged at 1, 2, and 8 threads -- the
  *    schedule is a pure function of the lowered program.
  *
+ * The seeded cases come with the four vgg16 runs the timeline driver
+ * documents as byte-identical between its two backends.
+ *
  * Plus the schedule-level invariants the fold rests on: no
  * instruction starts before its dependencies finish, and the exit
  * sync defines the makespan.
@@ -124,6 +127,32 @@ seededCases(int count)
     return cases;
 }
 
+/**
+ * timeline --network vgg16 --engine {inca,ws} --phase
+ * {inference,training}: batch 64 on the paper design points.
+ */
+std::vector<EventCase>
+timelineCases()
+{
+    std::vector<EventCase> cases;
+    for (const bool isInca : {true, false})
+        for (const arch::Phase phase :
+             {arch::Phase::Inference, arch::Phase::Training})
+            cases.push_back({isInca, nn::vgg16(),
+                             testing::sweepPoints()[0], phase, 64});
+    return cases;
+}
+
+/** seededCases(@p count) followed by the timelineCases(). */
+std::vector<EventCase>
+seededAndTimelineCases(int count)
+{
+    std::vector<EventCase> cases = seededCases(count);
+    for (EventCase &c : timelineCases())
+        cases.push_back(std::move(c));
+    return cases;
+}
+
 /** Lower one case with the given overlap setting. */
 ir::Program
 lowerCase(const EventCase &c, bool overlap)
@@ -151,7 +180,7 @@ analyticRun(const EventCase &c)
 
 TEST(EventBackendTest, OverlapOffIsBitExactAcrossSeededCases)
 {
-    for (const EventCase &c : seededCases(200)) {
+    for (const EventCase &c : seededAndTimelineCases(200)) {
         SCOPED_TRACE(c.describe());
         const auto timed = event::execute(lowerCase(c, false));
         EXPECT_EQ(transcript(timed.run), transcript(analyticRun(c)));
@@ -179,7 +208,7 @@ TEST(EventBackendTest, OverlapOnNeverSlowerAndEnergyUnchanged)
 
 TEST(EventBackendTest, BitIdenticalAtEveryThreadCount)
 {
-    const auto cases = seededCases(12);
+    const auto cases = seededAndTimelineCases(12);
     std::vector<std::string> reference;
     for (const EventCase &c : cases)
         reference.push_back(

@@ -9,13 +9,17 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 
+#include "common/env.hh"
 #include "common/export_util.hh"
 #include "common/random.hh"
+#include "event/event.hh"
 #include "inca/engine.hh"
+#include "ir/lower.hh"
 #include "json_lint.hh"
 #include "nn/model_zoo.hh"
 #include "sim/export.hh"
@@ -158,9 +162,46 @@ TEST(ExportJson, ProvenanceManifest)
     EXPECT_NE(json.find("\"threads\": "), std::string::npos);
     EXPECT_NE(json.find("\"cache\": "), std::string::npos);
     EXPECT_NE(json.find("\"build_type\": "), std::string::npos);
-    for (const char *var : {"INCA_TRACE", "INCA_METRICS",
-                            "INCA_NUM_THREADS", "INCA_CACHE"})
-        EXPECT_NE(json.find(var), std::string::npos) << var;
+    for (const std::string &var : knownEnvVars())
+        EXPECT_NE(json.find("\"" + var + "\": "), std::string::npos)
+            << var;
+
+    // Environment values are the user's bytes: a control character
+    // in one must still leave strict JSON.
+    const char *prior = std::getenv("INCA_TRACE");
+    const std::string saved = prior ? prior : "";
+    ASSERT_EQ(setenv("INCA_TRACE", "t\tx\n.json", 1), 0);
+    const std::string hostile = toJson(run);
+    if (prior)
+        setenv("INCA_TRACE", saved.c_str(), 1);
+    else
+        unsetenv("INCA_TRACE");
+    testutil::JsonLint lint(hostile);
+    EXPECT_TRUE(lint.valid())
+        << "bad JSON near byte " << lint.errorPos();
+    EXPECT_NE(hostile.find("\"INCA_TRACE\": \"t\\tx\\n.json\""),
+              std::string::npos);
+}
+
+TEST(ExportJson, TimelineEventRunCarriesBackendAndProvenance)
+{
+    // timeline --network lenet5 --backend event --json: the event
+    // run with the members the driver adds.
+    const ir::Program program = ir::lowerInca(
+        arch::paperInca(), nn::lenet5(), arch::Phase::Inference, 64);
+    const arch::RunCost run = event::execute(program).run;
+    const std::string json = toJson(
+        run, "\"backend\": \"event\", \"overlap\": false, "
+             "\"engine\": \"" + program.engine + "\"");
+    testutil::JsonLint lint(json);
+    EXPECT_TRUE(lint.valid())
+        << "bad JSON near byte " << lint.errorPos();
+    for (const char *member :
+         {"\"backend\": \"event\"", "\"overlap\": false",
+          "\"engine\": \"inca\"", "\"config_key_hash\": \"0x",
+          "\"layers\": [\n    {\"name\": "})
+        EXPECT_NE(json.find(member), std::string::npos) << member;
+    EXPECT_NE(run.configKeyHash, 0u);
 }
 
 TEST(ExportJson, TrainingPhaseLabel)

@@ -30,6 +30,7 @@
 #include "common/metrics.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "driver_specs.hh"
 #include "tensor/kernels/kernels.hh"
 #include "tensor/ops.hh"
 
@@ -177,6 +178,32 @@ TEST_F(KernelDispatch, BogusEnvOverrideIsFatal)
             (void)kernels::active();
         },
         "not a kernel ISA");
+}
+
+TEST_F(KernelDispatch, DriverResultsIdenticalUnderEveryIsa)
+{
+    // compare_dataflows 64 and fault_campaign's lenet5 spec: forcing
+    // any ISA may change wall-clock, never a byte of the exports.
+    const auto exports = [] {
+        return testutil::compareDataflowsRuns() +
+               testutil::campaignExports(reliability::runCampaign(
+                   testutil::lenet5Campaign()));
+    };
+    ThreadPool::setGlobalThreads(1);
+    kernels::resetActive();
+    const kernels::Isa defaultIsa = kernels::activeIsa();
+    const std::string reference = exports();
+    for (const int threads : {1, 8}) {
+        SCOPED_TRACE(threads);
+        ThreadPool::setGlobalThreads(threads);
+        for (kernels::Isa isa : kernels::availableIsas()) {
+            if (threads == 1 && isa == defaultIsa)
+                continue; // the reference run
+            SCOPED_TRACE(kernels::isaName(isa));
+            kernels::setActive(isa);
+            EXPECT_EQ(exports(), reference);
+        }
+    }
 }
 
 TEST_F(KernelDispatch, UnavailableEnvOverrideIsFatalNotAFallback)

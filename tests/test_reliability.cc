@@ -22,10 +22,13 @@
 #include "dse/explorer.hh"
 #include "dse/journal.hh"
 #include "dse/objectives.hh"
+#include "driver_specs.hh"
 #include "inca/engine.hh"
 #include "json_lint.hh"
 #include "nn/model_zoo.hh"
 #include "reliability/campaign.hh"
+
+extern "C" char **environ;
 
 namespace inca {
 namespace reliability {
@@ -390,16 +393,22 @@ class CampaignTest : public ::testing::Test
 
 TEST_F(CampaignTest, CsvIsByteIdenticalAtEveryThreadCount)
 {
-    std::string reference;
+    // The small campaign's CSV, and fault_campaign's lenet5 spec with
+    // its JSON too (the provenance block records the thread count).
+    std::string small, spec;
     for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
         clearAllCaches();
-        const CampaignResult result = runCampaign(smallCampaign());
-        const std::string csv = campaignCsv(result);
-        if (reference.empty())
-            reference = csv;
-        EXPECT_EQ(csv, reference);
+        const std::string a = campaignCsv(runCampaign(smallCampaign()));
+        const std::string b = testutil::campaignExports(
+            runCampaign(testutil::lenet5Campaign()));
+        if (small.empty()) {
+            small = a;
+            spec = b;
+        }
+        EXPECT_EQ(a, small);
+        EXPECT_EQ(b, spec);
     }
 }
 
@@ -484,6 +493,32 @@ TEST_F(CampaignTest, JsonIsStrictlyLintable)
               std::string::npos);
     EXPECT_NE(json.find("\"kind\": \"reliability.campaign\""),
               std::string::npos);
+
+    // fault_campaign's lenet5 spec: both engines, the fault and
+    // mitigation blocks, every point charged at least its ideal cost,
+    // and the shared provenance block with every INCA_* switch.
+    const CampaignResult spec = runCampaign(testutil::lenet5Campaign());
+    const std::string specJson = campaignJson(spec);
+    EXPECT_TRUE(testutil::JsonLint(specJson).valid())
+        << "error at " << testutil::JsonLint(specJson).errorPos();
+    for (const char *member :
+         {"\"kind\": \"reliability.campaign\"",
+          "\"fault\": {\"hard_ber0\": ",
+          "\"mitigation\": {\"write_verify_retries\": 2, "
+          "\"spare_rows\": 2, \"spare_cols\": 0}",
+          "{\"engine\": \"inca\", \"points\": [",
+          "{\"engine\": \"ws\", \"points\": [",
+          "\"fault_seed\": ", "\"build_type\": "})
+        EXPECT_NE(specJson.find(member), std::string::npos) << member;
+    for (const std::string &name : knownEnvVars())
+        EXPECT_NE(specJson.find("\"" + name + "\": "),
+                  std::string::npos)
+            << name;
+    ASSERT_EQ(spec.curves.size(), 2u);
+    for (const CampaignCurve &curve : spec.curves)
+        for (const CampaignPoint &p : curve.points)
+            EXPECT_GE(p.energyJ, p.idealEnergyJ)
+                << curve.engine << " " << p.sweep << " " << p.x;
 }
 
 TEST_F(CampaignTest, RejectsEmptyCampaignsWithActionableErrors)
@@ -603,6 +638,39 @@ TEST(ResilienceExplorer, EndToEndObjectiveAndConstraint)
     const dse::ExploreResult rejected = strictExplorer.run();
     EXPECT_EQ(rejected.frontier.size(), 0u);
     EXPECT_EQ(rejected.filtered, rejected.evaluations.size());
+
+    // explore --strategy random --seed 7 --budget 32
+    //   --objectives energy,resilience
+    //   --constraint min_accuracy_at_ber=0.5
+    //   --ber 1e-3 --retries 2 --spare-rows 4
+    dse::ExploreOptions cli;
+    cli.strategy = dse::StrategyKind::Random;
+    cli.seed = 7;
+    cli.budget = 32;
+    cli.objectives = {dse::Objective::Energy,
+                      dse::Objective::Resilience};
+    cli.constraints.set("min_accuracy_at_ber=0.5");
+    cli.faultBer = 1e-3;
+    cli.mitigation.writeVerifyRetries = 2;
+    cli.mitigation.spareRows = 4;
+    dse::Explorer endToEnd(dse::defaultSpace(dse::EngineKind::Inca),
+                           cli);
+    const dse::ExploreResult r = endToEnd.run();
+    ASSERT_FALSE(r.frontier.empty());
+    const std::string csv = dse::frontierCsv(
+        endToEnd.space(), r.frontier, cli.objectives);
+    EXPECT_NE(csv.substr(0, csv.find('\n')).find("resilience"),
+              std::string::npos);
+    const std::string json = dse::frontierJson(endToEnd, r);
+    EXPECT_NE(json.find("\"fault_ber\": 0.001,"), std::string::npos);
+    std::size_t withResilience = 0;
+    for (std::size_t at = json.find("\"resilience\": ");
+         at != std::string::npos;
+         at = json.find("\"resilience\": ", at + 1))
+        ++withResilience;
+    EXPECT_EQ(withResilience, r.frontier.size());
+    for (const auto &e : r.frontier)
+        EXPECT_GE(e.resilience, 0.5);
 }
 
 TEST(ResilienceJournal, ResilienceSurvivesTheRoundTrip)
@@ -652,6 +720,26 @@ TEST(EnvHygiene, ClassifiesKnownAndUnknownIncaVariables)
     EXPECT_EQ(unknown[1], "INCA_TRACES");
 
     EXPECT_TRUE(unrecognizedEnvVars(nullptr).empty());
+}
+
+TEST(EnvHygiene, TypoWarnsOnceNamingTheValidSwitches)
+{
+    // The whole of the child's stderr: one line, however often a
+    // driver checks.
+    EXPECT_EXIT(
+        {
+            for (const std::string &name : unrecognizedEnvVars(environ))
+                unsetenv(name.c_str());
+            setenv("INCA_TRACES", "typo.json", 1);
+            checkEnvironment();
+            checkEnvironment();
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(0),
+        "^warn: unrecognized environment variable INCA_TRACES -- "
+        "the simulator reads only INCA_CACHE, INCA_KERNEL_ISA, "
+        "INCA_METRICS, INCA_NUM_THREADS, INCA_TRACE; a typo here "
+        "silently configures nothing\n$");
 }
 
 TEST(EnvHygiene, KnownListCoversEveryDocumentedSwitch)

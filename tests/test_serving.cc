@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <queue>
 #include <string>
@@ -708,6 +709,42 @@ TEST(DseBridge, ExplorerScoresServingObjectives)
             }
 }
 
+/**
+ * explore --network lenet5 --axis replicas=1,2,4
+ *   --axis serve_batch=4,8 --axis plane=16,32
+ *   --objectives energy,p99_latency,goodput --constraint max_p99_ms=400
+ *   --arrivals poisson --rate 150k/s --serve-duration 100ms
+ *   --batch-policy 8:1ms --slo-ms 400 --journal <journal>
+ */
+dse::ExploreOptions
+sloSearchOptions(const std::string &journal)
+{
+    dse::ExploreOptions opt;
+    opt.network = "lenet5";
+    opt.objectives = dse::objectivesByNames("energy,p99_latency,goodput");
+    opt.constraints.set("max_p99_ms=400");
+    opt.serving.arrivals.kind = arrivalKindByName("poisson");
+    opt.serving.arrivals.ratePerS = cli::parseRate("--rate", "150k/s");
+    opt.serving.durationS =
+        cli::parseDuration("--serve-duration", "100ms");
+    opt.serving.batch.maxBatch = 8;
+    opt.serving.batch.timeoutS =
+        cli::parseDuration("--batch-policy", "1ms");
+    opt.serving.sloS = cli::parseDouble("--slo-ms", "400") * 1e-3;
+    opt.journalPath = journal;
+    return opt;
+}
+
+dse::SearchSpace
+sloSearchSpace()
+{
+    dse::SearchSpace space;
+    space.axis("replicas", {1, 2, 4})
+        .axis("serve_batch", {4, 8})
+        .axis("plane", {16, 32});
+    return space;
+}
+
 TEST(DseBridge, MaxP99ConstraintRejectsAfterScoring)
 {
     dse::ExploreOptions opt = servingExploreOptions();
@@ -721,6 +758,44 @@ TEST(DseBridge, MaxP99ConstraintRejectsAfterScoring)
         EXPECT_NE(e.rejectedBy.find("max_p99_ms"),
                   std::string::npos);
     }
+
+    // The documented SLO search: a 400 ms bound keeps a non-empty
+    // frontier under it, and resuming from the journal replays every
+    // evaluation to the same frontier.
+    const std::string journal =
+        ::testing::TempDir() + "/dse_slo_search.jsonl";
+    dse::Explorer search(sloSearchSpace(), sloSearchOptions(journal));
+    const dse::ExploreResult found = search.run();
+    ASSERT_FALSE(found.frontier.empty());
+    for (const auto &e : found.frontier) {
+        EXPECT_LE(e.p99LatencyS * 1e3, 400.0);
+        EXPECT_GT(e.goodputRps, 0.0);
+    }
+    for (const auto &e : found.evaluations)
+        EXPECT_EQ(e.feasible, e.p99LatencyS * 1e3 <= 400.0)
+            << e.rejectedBy;
+    const std::string csv = dse::frontierCsv(
+        search.space(), found.frontier, search.options().objectives);
+    EXPECT_NE(csv.find("p99_latency_s"), std::string::npos);
+    EXPECT_NE(dse::frontierJson(search, found)
+                  .find("\"objectives\": [\"energy\", "
+                        "\"p99_latency\", \"goodput\"]"),
+              std::string::npos);
+    std::ifstream in(journal);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line); ++lines)
+        EXPECT_TRUE(testutil::JsonLint(line).valid()) << line;
+    EXPECT_EQ(lines, found.evaluations.size() + 1);
+
+    dse::ExploreOptions resume = sloSearchOptions(journal);
+    resume.resume = true;
+    dse::Explorer resumed(sloSearchSpace(), resume);
+    const dse::ExploreResult replay = resumed.run();
+    EXPECT_EQ(replay.scored, 0u);
+    EXPECT_EQ(dse::frontierCsv(resumed.space(), replay.frontier,
+                               resumed.options().objectives),
+              csv);
+    std::remove(journal.c_str());
 }
 
 TEST(DseBridge, ServingSignatureOnlyWhenServingIsScored)

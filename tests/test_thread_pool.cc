@@ -3,14 +3,20 @@
  * ThreadPool semantics tests: exactly-once index coverage, nested
  * submission (no deadlock -- inner loops run inline on the worker),
  * exception propagation to the submitting thread, pool reusability
- * after a throw, and an end-to-end check that a full Trainer run is
- * bit-identical at 1 and 4 lanes.
+ * after a throw, an end-to-end check that a full Trainer run is
+ * bit-identical at 1 and 4 lanes, and the INCA_NUM_THREADS failures
+ * that must be fatal.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -22,6 +28,18 @@
 #include "nn/dataset.hh"
 #include "nn/module.hh"
 #include "nn/trainer.hh"
+
+// Sanitizer runtimes reserve their shadow memory up front.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define INCA_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define INCA_TEST_SANITIZED 1
+#endif
+#endif
+#ifndef INCA_TEST_SANITIZED
+#define INCA_TEST_SANITIZED 0
+#endif
 
 namespace inca {
 namespace {
@@ -162,6 +180,61 @@ tinyNet(std::uint64_t seed)
  * tensor ops run on 1 lane or 4 -- the software analogue of the
  * paper's claim that the dataflow does not change the math.
  */
+// The env-sized global pool is built once per process, so each case
+// runs in a freshly started child whatever style the binary was
+// launched with.
+
+TEST(ThreadPoolDeath, MalformedThreadCountIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Garbage, zero, a negative count, trailing characters and an
+    // int overflow must never pick a thread count silently.
+    for (const char *value :
+         {"banana", "0", "-3", "4x", "99999999999"}) {
+        SCOPED_TRACE(value);
+        EXPECT_EXIT(
+            {
+                setenv("INCA_NUM_THREADS", value, 1);
+                (void)ThreadPool::global();
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("INCA_NUM_THREADS='") + value +
+                "' is not a whole number in \\[1, 2147483647\\]");
+    }
+}
+
+TEST(ThreadPoolDeath, WorkerThatCannotStartIsFatal)
+{
+#if INCA_TEST_SANITIZED || !defined(__linux__)
+    GTEST_SKIP() << "needs /proc, and an address-space cap breaks "
+                    "sanitizer shadow memory";
+#endif
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("INCA_NUM_THREADS", "100000", 1);
+            // Cap the address space 64 MiB above what the child maps
+            // now: the 8 MiB worker stacks run out after a few
+            // threads instead of exhausting the host.
+            long pages = 0;
+            std::FILE *statm = std::fopen("/proc/self/statm", "r");
+            if (statm == nullptr ||
+                std::fscanf(statm, "%ld", &pages) != 1)
+                std::exit(2);
+            std::fclose(statm);
+            rlimit cap{};
+            getrlimit(RLIMIT_AS, &cap);
+            cap.rlim_cur =
+                rlim_t(pages) * rlim_t(sysconf(_SC_PAGESIZE)) +
+                (rlim_t(64) << 20);
+            if (setrlimit(RLIMIT_AS, &cap) != 0)
+                std::exit(3);
+            (void)ThreadPool::global();
+        },
+        ::testing::ExitedWithCode(1),
+        "cannot start a pool of 100000 threads");
+}
+
 TEST_F(ThreadPoolTest, TrainerIsBitIdenticalAcrossThreadCounts)
 {
     const auto data = tinyTask();

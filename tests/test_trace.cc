@@ -1,7 +1,8 @@
 /**
  * @file
  * Chrome trace-event recorder tests: disabled-path behavior, span and
- * counter recording, thread naming, and JSON validity.
+ * counter recording, thread naming, JSON validity, and that neither
+ * tracing nor the thread count changes a result of the sweep drivers.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,9 @@
 
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
+#include "driver_specs.hh"
+#include "dse/explorer.hh"
+#include "dse/journal.hh"
 #include "json_lint.hh"
 
 namespace inca {
@@ -209,6 +213,51 @@ TEST_F(Trace, ClearDropsEventsKeepsNames)
     EXPECT_EQ(eventCount(), 0u);
     // The main thread's sticky name survives a clear().
     EXPECT_NE(toJson().find("\"main\""), std::string::npos);
+}
+
+/**
+ * Every result of compare_dataflows at batch 64 (both phases) and of
+ * design_space's two grid sweeps on resnet18, built exactly as the
+ * drivers build them: each simulated run as its JSON export without
+ * provenance, each DSE evaluation as its journal line plus its run.
+ */
+std::string
+sweepDriverResults()
+{
+    std::string out = testutil::compareDataflowsRuns();
+    const auto sweep = [&](const dse::SearchSpace &space,
+                           const dse::ExploreOptions &options) {
+        dse::Explorer explorer(space, options);
+        for (const dse::Evaluation &e : explorer.run().evaluations)
+            out += dse::evalToJsonLine(e) +
+                   testutil::withoutProvenance(sim::toJson(e.run));
+    };
+    dse::ExploreOptions planeOpt = testutil::designSpaceOptions();
+    planeOpt.isoCapacity = true;
+    sweep(testutil::designSpacePlaneSweep(), planeOpt);
+    sweep(testutil::designSpaceAdcSweep(),
+          testutil::designSpaceOptions());
+    return out;
+}
+
+TEST_F(Trace, SweepDriverResultsIgnoreTracingAndThreadCount)
+{
+    ThreadPool::setGlobalThreads(1);
+    const std::string reference = sweepDriverResults();
+    for (const int threads : {1, 8}) {
+        SCOPED_TRACE(threads);
+        ThreadPool::setGlobalThreads(threads);
+        if (threads != 1) {
+            EXPECT_EQ(sweepDriverResults(), reference) << "untraced";
+        }
+        start("");
+        const std::string traced = sweepDriverResults();
+        stop();
+        EXPECT_GT(eventCount(), 0u);
+        clear();
+        EXPECT_EQ(traced, reference) << "traced";
+    }
+    ThreadPool::setGlobalThreads(1);
 }
 
 } // namespace
