@@ -109,20 +109,6 @@ report()
     sim::printPhaseTimes();
 }
 
-void
-BM_BatchSweep(benchmark::State &state)
-{
-    core::IncaEngine inca(arch::paperInca());
-    const auto net = nn::resnet18();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (int batch : {1, 16, 64})
-            total += inca.training(net, batch).energy();
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_BatchSweep);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

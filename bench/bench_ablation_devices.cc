@@ -90,23 +90,6 @@ report()
     sim::printPhaseTimes();
 }
 
-void
-BM_DeviceSweep(benchmark::State &state)
-{
-    const auto net = nn::resnet18();
-    const auto presets = circuit::allDevicePresets();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (const auto &preset : presets) {
-            arch::IncaConfig cfg = arch::paperInca();
-            cfg.device = preset.device;
-            total += core::IncaEngine(cfg).training(net, 64).energy();
-        }
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_DeviceSweep);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

@@ -104,21 +104,6 @@ report()
     sim::printPhaseTimes();
 }
 
-void
-BM_EnduranceSweep(benchmark::State &state)
-{
-    const auto suite = nn::evaluationSuite();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (const auto &net : suite) {
-            total += arch::incaEndurance(net, arch::paperInca(), 64)
-                         .writesPerIteration;
-        }
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_EnduranceSweep);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

@@ -115,26 +115,6 @@ report()
     sim::printPhaseTimes();
 }
 
-void
-BM_CampaignPoint(benchmark::State &state)
-{
-    reliability::CampaignOptions opt;
-    opt.network = "lenet5";
-    opt.trials = 4;
-    opt.bers = {1e-3};
-    opt.lifetimes = {};
-    opt.runWs = false;
-    opt.mitigation.writeVerifyRetries = 2;
-    opt.mitigation.spareRows = 4;
-    for (auto _ : state) {
-        // A fresh fault seed per iteration: every run is a new campaign.
-        opt.fault.seed = std::uint64_t(state.iterations());
-        const auto result = reliability::runCampaign(opt);
-        benchmark::DoNotOptimize(result.trialsRun);
-    }
-}
-BENCHMARK(BM_CampaignPoint);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

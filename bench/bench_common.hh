@@ -2,17 +2,14 @@
  * @file
  * Shared scaffolding for the reproduction benchmarks.
  *
- * Every bench binary (a) prints the rows/series of the paper table or
+ * Every bench binary prints the rows/series of the paper table or
  * figure it regenerates -- paper values side by side with measured
- * ones where the paper prints numbers -- and (b) registers
- * google-benchmark timers over the underlying computation so the cost
- * of regenerating each artifact is tracked.
+ * ones where the paper prints numbers -- and, given `--json <path>`,
+ * writes the same series as JSON.
  */
 
 #ifndef INCA_BENCH_BENCH_COMMON_HH
 #define INCA_BENCH_BENCH_COMMON_HH
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
@@ -31,24 +28,18 @@ banner(const std::string &title)
 }
 
 /**
- * Standard main: print the report once, write the JSON report when
- * `--json <path>` was given, then run the benchmarks (the flag is
- * stripped before google-benchmark parses argv).
+ * Standard main: check the command line (at most `--json <path>`),
+ * print the report once, then write the JSON report when asked.
  */
 #define INCA_BENCH_MAIN(reportFn)                                        \
     int main(int argc, char **argv)                                      \
     {                                                                    \
         ::inca::checkEnvironment();                                      \
         const std::string jsonPath =                                     \
-            ::inca::bench::extractJsonPath(argc, argv);                  \
+            ::inca::bench::benchJsonPath(argc, argv);                    \
         reportFn();                                                      \
         if (!jsonPath.empty())                                           \
             ::inca::bench::JsonReport::instance().write(jsonPath);       \
-        ::benchmark::Initialize(&argc, argv);                            \
-        if (::benchmark::ReportUnrecognizedArguments(argc, argv))        \
-            return 1;                                                    \
-        ::benchmark::RunSpecifiedBenchmarks();                           \
-        ::benchmark::Shutdown();                                         \
         return 0;                                                        \
     }
 

@@ -1,18 +1,16 @@
 /**
  * @file
- * CLI wrapper over compareBench(): the CI perf gate.
+ * CLI wrapper over compareBench(): the CI kernel speedup gate.
  *
- *   bench_compare BASELINE.json CURRENT.json [--threshold 0.15]
- *                 [--normalize BENCH_NAME] [--require-all]
+ *   bench_compare BASELINE.json CURRENT.json
  *
- * Exit 0 when no benchmark regressed past the threshold; exit 1 on a
- * regression, a missing entry under --require-all, or an unreadable /
- * off-schema file. Regressions and notes go to stdout, one per line.
+ * Exit 0 when no SIMD speedup regressed by more than 15%; exit 1 on a
+ * regression or an unreadable / off-schema file; exit 2 with the
+ * usage line on any flag or a wrong argument count. Regressions and
+ * notes go to stdout, one per line.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -36,10 +34,7 @@ readFile(const char *path, std::string &out)
 int
 usage(const char *argv0)
 {
-    std::fprintf(stderr,
-                 "usage: %s BASELINE.json CURRENT.json "
-                 "[--threshold FRAC] [--normalize BENCH] "
-                 "[--relative-to-scalar] [--require-all]\n",
+    std::fprintf(stderr, "usage: %s BASELINE.json CURRENT.json\n",
                  argv0);
     return 2;
 }
@@ -49,37 +44,10 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    const char *baselinePath = nullptr;
-    const char *currentPath = nullptr;
-    inca::bench::CompareOptions opts;
-
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threshold") == 0 &&
-            i + 1 < argc) {
-            opts.threshold = std::atof(argv[++i]);
-            if (opts.threshold <= 0.0) {
-                std::fprintf(stderr, "bad --threshold '%s'\n",
-                             argv[i]);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--normalize") == 0 &&
-                   i + 1 < argc) {
-            opts.normalize = argv[++i];
-        } else if (std::strcmp(argv[i], "--relative-to-scalar") ==
-                   0) {
-            opts.relativeToScalar = true;
-        } else if (std::strcmp(argv[i], "--require-all") == 0) {
-            opts.requireAll = true;
-        } else if (baselinePath == nullptr) {
-            baselinePath = argv[i];
-        } else if (currentPath == nullptr) {
-            currentPath = argv[i];
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    if (baselinePath == nullptr || currentPath == nullptr)
+    if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-')
         return usage(argv[0]);
+    const char *baselinePath = argv[1];
+    const char *currentPath = argv[2];
 
     std::string baseline, current;
     if (!readFile(baselinePath, baseline)) {
@@ -91,8 +59,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const auto res =
-        inca::bench::compareBench(baseline, current, opts);
+    const auto res = inca::bench::compareBench(baseline, current);
     if (!res.error.empty()) {
         std::fprintf(stderr, "bench_compare: %s\n",
                      res.error.c_str());
@@ -102,15 +69,10 @@ main(int argc, char **argv)
         std::printf("note: %s\n", n.c_str());
     for (const auto &r : res.regressions)
         std::printf("REGRESSION: %s\n", r.c_str());
-    std::string mode;
-    if (!opts.normalize.empty())
-        mode += ", normalized to " + opts.normalize;
-    if (opts.relativeToScalar)
-        mode += ", relative to scalar";
     std::printf("%s: %zu notes, %zu regressions "
-                "(threshold %.0f%%%s)\n",
+                "(threshold %.0f%%, relative to scalar)\n",
                 res.ok ? "OK" : "FAIL", res.notes.size(),
-                res.regressions.size(), 100.0 * opts.threshold,
-                mode.c_str());
+                res.regressions.size(),
+                100.0 * inca::bench::kRegressionThreshold);
     return res.ok ? 0 : 1;
 }

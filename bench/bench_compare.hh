@@ -1,22 +1,18 @@
 /**
  * @file
- * Perf-regression gate over two BENCH_*.json files.
+ * Kernel speedup gate over two BENCH_*.json files.
  *
  * compareBench() loads a committed baseline and a freshly measured
- * file (both "inca.bench.v1", see bench_json.hh), matches benchmark
- * entries by (name, isa), and fails when any current trimmed mean is
- * more than `threshold` slower than its baseline. Two knobs make the
- * gate usable in CI rather than merely strict:
- *
- *  - normalize: absolute nanoseconds differ between the machine that
- *    committed the baseline and the runner re-measuring it. Naming a
- *    calibration benchmark (the scalar GEMM) divides every entry by
- *    that entry's own file's calibration time, so the gate compares
- *    RELATIVE shape -- "is avx2 still ~Nx the scalar reference" --
- *    which survives a machine swap.
- *  - missing entries are notes, not failures, unless requireAll: the
- *    runner may lack AVX-512 the baseline machine had. A baseline
- *    entry that exists in current is always compared.
+ * file (both "inca.bench.v1", see bench_json.hh) and turns each
+ * vector entry into a ratio to the same file's scalar entry of the
+ * same benchmark. Both variants run seconds apart in one process, so
+ * machine-wide throughput drift -- noisy neighbours, thermal state, a
+ * different CI runner -- cancels, and what is gated is the SIMD
+ * speedup shape. The ratios are matched by (name, isa); any current
+ * one more than 15% above its baseline is a regression. Benchmarks
+ * with no scalar twin are not gated. A baseline entry missing from
+ * the current file is a note, not a failure: the runner may lack the
+ * AVX-512 the baseline machine had.
  *
  * The parser underneath is a deliberately small recursive-descent
  * JSON reader (objects, arrays, strings, numbers, bools, null; no
@@ -273,25 +269,8 @@ parseJson(const std::string &text, std::string &err)
     return root;
 }
 
-struct CompareOptions
-{
-    /** Fail when current/baseline exceeds 1 + threshold. */
-    double threshold = 0.15;
-    /** Calibration benchmark name; empty = compare raw nanoseconds. */
-    std::string normalize;
-    /**
-     * Compare each vector entry as a ratio to the SAME file's scalar
-     * entry of the SAME benchmark (and skip the scalar entries
-     * themselves). Both variants run seconds apart in one process,
-     * so machine-wide throughput drift -- noisy neighbours, thermal
-     * state, a different CI runner -- cancels exactly; what is gated
-     * is the SIMD speedup shape, which is what the kernel overhaul
-     * actually claims. Benchmarks with no scalar twin are not gated.
-     */
-    bool relativeToScalar = false;
-    /** Treat baseline entries missing from current as failures. */
-    bool requireAll = false;
-};
+/** A current ratio above (1 + this) times its baseline fails. */
+inline constexpr double kRegressionThreshold = 0.15;
 
 struct CompareResult
 {
@@ -303,18 +282,11 @@ struct CompareResult
 
 namespace detail {
 
-struct BenchEntry
-{
-    std::string isa;
-    double meanNs = 0.0;
-};
-
-/** (name|isa) -> trimmed mean, plus the calibration divisor. */
+/** (name|isa) -> trimmed mean over the same name's scalar entry. */
 inline bool
-loadEntries(const std::string &json, const CompareOptions &opts,
+loadEntries(const std::string &json,
             std::map<std::string, double> &entries, std::string &err)
 {
-    const std::string &normalize = opts.normalize;
     const JsonValue root = parseJson(json, err);
     if (!err.empty())
         return false;
@@ -334,7 +306,7 @@ loadEntries(const std::string &json, const CompareOptions &opts,
         err = "missing \"benchmarks\" array";
         return false;
     }
-    double calibration = 0.0;
+    std::map<std::string, double> means;
     for (const JsonValue &b : benches->array) {
         const JsonValue *name = b.get("name");
         const JsonValue *isa = b.get("isa");
@@ -344,36 +316,16 @@ loadEntries(const std::string &json, const CompareOptions &opts,
             err = "benchmark entry missing name/isa/trimmed_mean_ns";
             return false;
         }
-        entries[name->string + "|" + isa->string] = mean->number;
-        // Calibration divisor: the named benchmark's scalar entry
-        // (any entry as fallback, first wins).
-        if (!normalize.empty() && name->string == normalize &&
-            (calibration == 0.0 || isa->string == "scalar"))
-            calibration = mean->number;
+        means[name->string + "|" + isa->string] = mean->number;
     }
-    if (!normalize.empty()) {
-        if (calibration <= 0.0) {
-            err = "calibration benchmark '" + normalize +
-                  "' not found (or non-positive)";
-            return false;
-        }
-        for (auto &[key, v] : entries)
-            v /= calibration;
-    }
-    if (opts.relativeToScalar) {
-        std::map<std::string, double> relative;
-        for (const auto &[key, v] : entries) {
-            const std::size_t bar = key.rfind('|');
-            const std::string isa = key.substr(bar + 1);
-            if (isa == "scalar")
-                continue; // the denominator, not a gated entry
-            const auto scalar =
-                entries.find(key.substr(0, bar) + "|scalar");
-            if (scalar == entries.end() || scalar->second <= 0.0)
-                continue; // no twin to cancel noise against
-            relative[key] = v / scalar->second;
-        }
-        entries = std::move(relative);
+    for (const auto &[key, v] : means) {
+        const std::size_t bar = key.rfind('|');
+        if (key.substr(bar + 1) == "scalar")
+            continue; // the denominator, not a gated entry
+        const auto scalar = means.find(key.substr(0, bar) + "|scalar");
+        if (scalar == means.end() || scalar->second <= 0.0)
+            continue; // no twin to cancel noise against
+        entries[key] = v / scalar->second;
     }
     return true;
 }
@@ -382,31 +334,27 @@ loadEntries(const std::string &json, const CompareOptions &opts,
 
 /**
  * Compare two bench JSON documents (file CONTENTS, not paths).
- * result.ok is false on any parse error, regression, or -- with
- * requireAll -- missing entry.
+ * result.ok is false on any parse error or regression.
  */
 inline CompareResult
 compareBench(const std::string &baselineJson,
-             const std::string &currentJson,
-             const CompareOptions &opts)
+             const std::string &currentJson)
 {
     CompareResult res;
     std::map<std::string, double> base, cur;
-    if (!detail::loadEntries(baselineJson, opts, base, res.error)) {
+    if (!detail::loadEntries(baselineJson, base, res.error)) {
         res.error = "baseline: " + res.error;
         return res;
     }
-    if (!detail::loadEntries(currentJson, opts, cur, res.error)) {
+    if (!detail::loadEntries(currentJson, cur, res.error)) {
         res.error = "current: " + res.error;
         return res;
     }
 
-    bool missing = false;
     for (const auto &[key, baseVal] : base) {
         const auto it = cur.find(key);
         if (it == cur.end()) {
             res.notes.push_back("missing from current: " + key);
-            missing = true;
             continue;
         }
         const double ratio =
@@ -414,9 +362,9 @@ compareBench(const std::string &baselineJson,
         char line[256];
         std::snprintf(line, sizeof(line), "%s: %.3fx baseline",
                       key.c_str(), ratio);
-        if (ratio > 1.0 + opts.threshold)
+        if (ratio > 1.0 + kRegressionThreshold)
             res.regressions.push_back(line);
-        else if (ratio < 1.0 - opts.threshold)
+        else if (ratio < 1.0 - kRegressionThreshold)
             res.notes.push_back(std::string(line) + " (improved)");
     }
     for (const auto &[key, v] : cur) {
@@ -425,8 +373,7 @@ compareBench(const std::string &baselineJson,
             res.notes.push_back("new benchmark (no baseline): " +
                                 key);
     }
-    res.ok = res.regressions.empty() &&
-             !(opts.requireAll && missing);
+    res.ok = res.regressions.empty();
     return res;
 }
 

@@ -53,19 +53,6 @@ report()
                 100.0 * dram.kneeUtilization);
 }
 
-void
-BM_LoadedLatencySweep(benchmark::State &state)
-{
-    const memory::Dram dram = memory::paperDram();
-    for (auto _ : state) {
-        double acc = 0.0;
-        for (int i = 0; i < 99; ++i)
-            acc += dram.loadedLatency(double(i) / 100.0);
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_LoadedLatencySweep);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

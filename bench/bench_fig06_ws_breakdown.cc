@@ -59,18 +59,6 @@ report()
     }
 }
 
-void
-BM_WsCifarInference(benchmark::State &state)
-{
-    baseline::BaselineEngine base(arch::paperBaseline());
-    const auto net = nn::vgg16(nn::cifarInput());
-    for (auto _ : state) {
-        auto run = base.inference(net, 64);
-        benchmark::DoNotOptimize(run.layers.size());
-    }
-}
-BENCHMARK(BM_WsCifarInference);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

@@ -64,33 +64,6 @@ report()
     t7b.print();
 }
 
-void
-BM_AccessCounting(benchmark::State &state)
-{
-    const auto suite = nn::evaluationSuite();
-    const dataflow::AccessConfig cfg{16, 256};
-    for (auto _ : state) {
-        std::uint64_t total = 0;
-        for (const auto &net : suite)
-            total += dataflow::networkAccesses(net, cfg).baseline;
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_AccessCounting);
-
-void
-BM_UnrollCounting(benchmark::State &state)
-{
-    const auto suite = nn::evaluationSuite();
-    for (auto _ : state) {
-        std::int64_t total = 0;
-        for (const auto &net : suite)
-            total += dataflow::unrollComparison(net).unrolled;
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_UnrollCounting);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

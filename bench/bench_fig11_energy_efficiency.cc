@@ -79,34 +79,6 @@ report()
                 "utilization collapse).\n");
 }
 
-void
-BM_InferenceComparison(benchmark::State &state)
-{
-    core::IncaEngine inca(arch::paperInca());
-    baseline::BaselineEngine base(arch::paperBaseline());
-    const auto net = nn::vgg16();
-    for (auto _ : state) {
-        const auto c = sim::compare(inca, base, net, 64,
-                                    arch::Phase::Inference);
-        benchmark::DoNotOptimize(c.energyEfficiencyGain());
-    }
-}
-BENCHMARK(BM_InferenceComparison);
-
-void
-BM_TrainingComparison(benchmark::State &state)
-{
-    core::IncaEngine inca(arch::paperInca());
-    baseline::BaselineEngine base(arch::paperBaseline());
-    const auto net = nn::vgg16();
-    for (auto _ : state) {
-        const auto c = sim::compare(inca, base, net, 64,
-                                    arch::Phase::Training);
-        benchmark::DoNotOptimize(c.energyEfficiencyGain());
-    }
-}
-BENCHMARK(BM_TrainingComparison);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

@@ -56,19 +56,6 @@ report()
                 "WS only in late small layers.\n");
 }
 
-void
-BM_LayerwiseExtraction(benchmark::State &state)
-{
-    baseline::BaselineEngine base(arch::paperBaseline());
-    const auto net = nn::vgg16();
-    for (auto _ : state) {
-        const auto run = base.inference(net, 64);
-        const auto series = sim::layerwiseMemoryEnergy(run);
-        benchmark::DoNotOptimize(series.size());
-    }
-}
-BENCHMARK(BM_LayerwiseExtraction);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

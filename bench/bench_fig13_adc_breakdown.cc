@@ -65,18 +65,6 @@ report()
                     (abs.at("dram") + abs.at("buffer")));
 }
 
-void
-BM_AdcAccounting(benchmark::State &state)
-{
-    core::IncaEngine inca(arch::paperInca());
-    const auto net = nn::vgg16();
-    for (auto _ : state) {
-        const auto run = inca.inference(net, 64);
-        benchmark::DoNotOptimize(run.sum("energy.adc"));
-    }
-}
-BENCHMARK(BM_AdcAccounting);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

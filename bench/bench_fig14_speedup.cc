@@ -79,24 +79,6 @@ report()
                 arch::paperInca().device.tWrite * 1e9);
 }
 
-void
-BM_SpeedupSuite(benchmark::State &state)
-{
-    core::IncaEngine inca(arch::paperInca());
-    baseline::BaselineEngine base(arch::paperBaseline());
-    const auto suite = nn::evaluationSuite();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (const auto &net : suite) {
-            total += sim::compare(inca, base, net, 64,
-                                  arch::Phase::Inference)
-                         .speedup();
-        }
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_SpeedupSuite);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

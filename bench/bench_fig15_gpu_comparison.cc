@@ -55,20 +55,6 @@ report()
                 incaAreaMm2, gpuAreaMm2);
 }
 
-void
-BM_GpuRoofline(benchmark::State &state)
-{
-    gpu::GpuModel titan;
-    const auto suite = nn::evaluationSuite();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (const auto &net : suite)
-            total += titan.training(net, 64).energy;
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_GpuRoofline);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

@@ -70,20 +70,6 @@ report()
                 "(depthwise kernels fill 9 of 128 rows).\n");
 }
 
-void
-BM_UtilizationSweep(benchmark::State &state)
-{
-    const auto suite = nn::evaluationSuite();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (const auto &net : suite)
-            for (int s : {8, 16, 32, 64, 128})
-                total += arch::incaNetworkUtilization(net, s);
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_UtilizationSweep);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

@@ -6,9 +6,8 @@
  * after the report runs, the named series of (label, value) points it
  * registered via JsonReport::addPoint, the full process metrics
  * registry, and a small provenance block are written to the path as
- * one JSON object. The flag is stripped from argv before
- * google-benchmark parses it, and nothing extra is printed, so the
- * human-readable stdout is unchanged whether or not JSON is requested.
+ * one JSON object. Nothing extra is printed, so the human-readable
+ * stdout is unchanged whether or not JSON is requested.
  */
 
 #ifndef INCA_BENCH_BENCH_JSON_HH
@@ -16,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -128,7 +126,7 @@ class JsonReport
                     out += ",";
                 firstPoint = false;
                 out += "\n      {\"label\": \"" + jsonEscape(label) +
-                       "\", \"value\": " + num(value) + "}";
+                       "\", \"value\": " + num17(value) + "}";
             }
             out += "\n    ]";
         }
@@ -149,7 +147,7 @@ class JsonReport
                 if (!firstVal)
                     out += ", ";
                 firstVal = false;
-                out += num(v);
+                out += num17(v);
             }
             out += "],\n     \"timestamps_us\": [";
             firstVal = true;
@@ -160,7 +158,7 @@ class JsonReport
                 out += std::to_string(t);
             }
             out += "],\n     \"trimmed_mean_ns\": " +
-                   num(b.trimmedMeanNs) + "}";
+                   num17(b.trimmedMeanNs) + "}";
         }
         out += "\n  ],\n";
         out += "  \"provenance\": {\"threads\": " +
@@ -189,24 +187,15 @@ class JsonReport
         std::vector<std::pair<std::string, double>> points;
     };
 
-    static std::string
-    num(double v)
-    {
-        // %.17g round-trips any double exactly, so a reader can
-        // recompute the trimmed mean from samples_ns bit-for-bit.
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        return buf;
-    }
-
     std::vector<Series> series_;
     std::vector<BenchRun> benchmarks_;
 };
 
 /**
- * Remove `--json <path>` / `--json=<path>` from argv (so
- * benchmark::Initialize never sees it) and return the path, or ""
- * when the flag is absent.
+ * Remove `--json <path>` / `--json=<path>` from argv and return the
+ * path, or "" when the flag is absent. A `--json` with no path or an
+ * empty one is fatal(): the report would otherwise silently not be
+ * written.
  */
 inline std::string
 extractJsonPath(int &argc, char **argv)
@@ -214,16 +203,35 @@ extractJsonPath(int &argc, char **argv)
     std::string path;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            path = argv[++i];
+        const char *value = nullptr;
+        if (std::strcmp(argv[i], "--json") == 0) {
+            value = i + 1 < argc ? argv[++i] : "";
         } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            path = argv[i] + 7;
+            value = argv[i] + 7;
         } else {
             argv[out++] = argv[i];
+            continue;
         }
+        if (*value == '\0')
+            fatal("--json needs a path");
+        path = value;
     }
     argc = out;
     argv[argc] = nullptr;
+    return path;
+}
+
+/**
+ * The whole command line of a bench main: at most `--json <path>`.
+ * Any other argument is fatal() before the bench does any work.
+ */
+inline std::string
+benchJsonPath(int argc, char **argv)
+{
+    const std::string path = extractJsonPath(argc, argv);
+    if (argc > 1)
+        fatal("unknown argument '%s' (usage: %s [--json PATH])",
+              argv[1], argv[0]);
     return path;
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Microkernel perf trajectory: every dispatched kernel, every ISA.
  *
- * Unlike the paper-figure benches this one has a custom main (no
- * google-benchmark): the measurement protocol is the point. Every
+ * Unlike the paper-figure benches this one times its work: the
+ * measurement protocol is the point. Every
  * benchmark runs kWarmup discarded repetitions, then kReps timed
  * ones with per-rep end timestamps, and reports the kTrim-trimmed
  * mean -- the exact statistic bench_json.hh stores and the CI gate
@@ -246,8 +246,7 @@ int
 main(int argc, char **argv)
 {
     inca::checkEnvironment();
-    const std::string jsonPath =
-        inca::bench::extractJsonPath(argc, argv);
+    const std::string jsonPath = inca::bench::benchJsonPath(argc, argv);
     std::printf("=== kernel microbenchmarks (warmup %d, reps %d, "
                 "trim %d, ISA-interleaved) ===\n",
                 inca::kWarmup, inca::kReps, inca::kTrim);

@@ -101,28 +101,6 @@ report()
     t.print();
 }
 
-void
-BM_QuantizedEvaluation(benchmark::State &state)
-{
-    setQuiet(true);
-    auto data = task();
-    Rng rng(33);
-    auto net = makeSmallResNet(1, 12, 6, 8, rng);
-    TrainConfig cfg;
-    cfg.epochs = 2;
-    cfg.batchSize = 10;
-    cfg.lr = 0.02f;
-    train(*net, data, cfg);
-    EvalOptions o;
-    o.weightBits = 4;
-    o.actBits = 4;
-    for (auto _ : state) {
-        const double acc = evaluate(*net, data.test, o);
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_QuantizedEvaluation);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

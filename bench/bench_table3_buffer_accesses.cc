@@ -57,20 +57,6 @@ report()
     tt.print();
 }
 
-void
-BM_TableIII(benchmark::State &state)
-{
-    const auto suite = nn::evaluationSuite();
-    const dataflow::AccessConfig cfg{8, 256};
-    for (auto _ : state) {
-        std::uint64_t total = 0;
-        for (const auto &net : suite)
-            total += dataflow::networkAccesses(net, cfg).inca;
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_TableIII);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

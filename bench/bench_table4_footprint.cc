@@ -60,19 +60,6 @@ report()
                 "bytes.\n");
 }
 
-void
-BM_Footprint(benchmark::State &state)
-{
-    const auto suite = nn::evaluationSuite();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (const auto &net : suite)
-            total += dataflow::footprint(net).baseline.rram;
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_Footprint);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

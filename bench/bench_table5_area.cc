@@ -60,19 +60,6 @@ report()
                 arch::incaStackArea(arch::paperInca()) * 1e12);
 }
 
-void
-BM_AreaRollup(benchmark::State &state)
-{
-    const auto baseCfg = arch::paperBaseline();
-    const auto incaCfg = arch::paperInca();
-    for (auto _ : state) {
-        const double total = arch::baselineArea(baseCfg).total() +
-                             arch::incaArea(incaCfg).total();
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_AreaRollup);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

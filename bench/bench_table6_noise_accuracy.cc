@@ -91,25 +91,6 @@ report()
                 "noise-free accuracy.\n");
 }
 
-void
-BM_NoisyTrainingEpoch(benchmark::State &state)
-{
-    setQuiet(true);
-    auto data = task();
-    for (auto _ : state) {
-        Rng rng(33);
-        auto net = makeSmallResNet(1, 12, 6, 8, rng);
-        TrainConfig cfg;
-        cfg.epochs = 1;
-        cfg.batchSize = 10;
-        cfg.lr = 0.02f;
-        cfg.noise = NoiseSpec{NoiseTarget::Activations, 0.02};
-        const auto r = train(*net, data, cfg);
-        benchmark::DoNotOptimize(r.finalTestAccuracy);
-    }
-}
-BENCHMARK(BM_NoisyTrainingEpoch);
-
 } // namespace
 
 INCA_BENCH_MAIN(report)

@@ -1,31 +1,31 @@
 #!/bin/sh
-# Measure the kernel + campaign perf trajectory into BENCH_*.json at
-# the repo root, under a pinned environment (fixed thread count, no
-# ISA override -- the benches force ISAs internally via
+# Measure the SIMD kernel speedups into BENCH_kernels.json at the repo
+# root, under a pinned environment (fixed thread count, no ISA
+# override -- bench_kernels forces ISAs internally via
 # kernels::setActive). Run from anywhere.
 #
-#   scripts/run_bench.sh [--compare [BASELINE_DIR]]
+#   scripts/run_bench.sh [--compare]
 #
 # With --compare, additionally gate the fresh numbers against the
-# committed baselines (bench/baselines/ by default) using
-# bench_compare in relative-to-scalar mode, so the comparison
-# survives a machine change; exit non-zero on a confirmed >15%
-# regression of any SIMD speedup.
+# committed bench/baselines/BENCH_kernels.json with bench_compare,
+# which compares each vector entry as a ratio to the same run's
+# scalar twin, so the comparison survives a machine change; exit
+# non-zero on a confirmed >15% regression of any SIMD speedup.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-COMPARE=0
-BASELINE_DIR=bench/baselines
-if [ "${1:-}" = "--compare" ]; then
-    COMPARE=1
-    [ -n "${2:-}" ] && BASELINE_DIR=$2
-fi
+case "$*" in
+    "") COMPARE=0 ;;
+    --compare) COMPARE=1 ;;
+    *)
+        echo "usage: scripts/run_bench.sh [--compare]" >&2
+        exit 2
+        ;;
+esac
 
 cmake -B build -S . >/dev/null
-cmake --build build --target bench_kernels bench_campaign \
-    bench_event bench_analysis bench_serving bench_chaos \
-    bench_compare -j >/dev/null
+cmake --build build --target bench_kernels bench_compare -j >/dev/null
 
 # Pinned measurement environment: one worker thread (the kernels are
 # the subject, not the pool) and no ambient ISA override -- a set
@@ -35,14 +35,7 @@ export INCA_NUM_THREADS=1
 
 measure() {
     ./build/bench/bench_kernels --json BENCH_kernels.json
-    ./build/bench/bench_campaign --json BENCH_campaign.json
-    ./build/bench/bench_event --json BENCH_event.json
-    ./build/bench/bench_analysis --json BENCH_analysis.json
-    ./build/bench/bench_serving --json BENCH_serving.json
-    ./build/bench/bench_chaos --json BENCH_chaos.json
-    echo "wrote BENCH_kernels.json BENCH_campaign.json" \
-        "BENCH_event.json BENCH_analysis.json BENCH_serving.json" \
-        "BENCH_chaos.json"
+    echo "wrote BENCH_kernels.json"
 }
 
 # Gate on the per-benchmark SIMD speedup (vector time / scalar time
@@ -51,18 +44,8 @@ measure() {
 # 15% threshold gates the speedup shape the kernel overhaul claims,
 # not the host's mood.
 compare_once() {
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_kernels.json" \
-        BENCH_kernels.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_campaign.json" \
-        BENCH_campaign.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_event.json" \
-        BENCH_event.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_analysis.json" \
-        BENCH_analysis.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_serving.json" \
-        BENCH_serving.json --threshold 0.15 --relative-to-scalar &&
-    ./build/bench/bench_compare "$BASELINE_DIR/BENCH_chaos.json" \
-        BENCH_chaos.json --threshold 0.15 --relative-to-scalar
+    ./build/bench/bench_compare bench/baselines/BENCH_kernels.json \
+        BENCH_kernels.json
 }
 
 measure
