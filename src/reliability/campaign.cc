@@ -1,5 +1,6 @@
 #include "reliability/campaign.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "arch/endurance.hh"
@@ -27,6 +28,12 @@ struct PointJob
     double x = 0.0;
 };
 
+/**
+ * Trials per fan-out. The outcome slots hold points x this many, so
+ * a campaign's memory does not grow with its trial count.
+ */
+constexpr std::int64_t kTrialBlock = 256;
+
 /** Mix a trial index into a stream base (splitmix64 finalizer). */
 std::uint64_t
 mixStream(std::uint64_t base, std::uint64_t t)
@@ -37,23 +44,26 @@ mixStream(std::uint64_t base, std::uint64_t t)
     return z ^ (z >> 31);
 }
 
-CampaignPoint
-evaluatePoint(const CampaignOptions &opt, const PointJob &job,
-              const nn::NetworkDesc &net, int maxWindow)
+/**
+ * A point's trial-invariant state, set up serially before its trials
+ * fan out: the fault model at the point's wear, the stream base its
+ * trials draw from, and the point's identity and rates.
+ */
+struct PointSetup
 {
-    const dse::EngineKind kind =
-        job.isInca ? dse::EngineKind::Inca : dse::EngineKind::Ws;
-    const int arraySize = job.isInca ? opt.inca.subarraySize
-                                     : opt.ws.subarraySize;
-    const int adcBits = job.isInca ? opt.inca.adcBits : opt.ws.adcBits;
-    const int aBits = job.isInca ? opt.inca.activationBits
-                                 : opt.ws.activationBits;
-    const circuit::RramDevice &device =
-        job.isInca ? opt.inca.device : opt.ws.device;
-    const double writeLanes =
-        double(job.isInca ? opt.inca.org.totalSubarrays()
-                          : opt.ws.org.totalSubarrays());
+    FaultModel model;
+    std::uint64_t streamBase;
+    dse::EngineKind kind;
+    int arraySize;
+    int adcBits;
+    int activationBits;
+    CampaignPoint point;
+};
 
+PointSetup
+setUpPoint(const CampaignOptions &opt, const PointJob &job,
+           const nn::NetworkDesc &net, int maxWindow)
+{
     CampaignPoint point;
     point.sweep = job.sweep;
     point.x = job.x;
@@ -79,12 +89,15 @@ evaluatePoint(const CampaignOptions &opt, const PointJob &job,
             report.writesPerCellPerIteration * job.x;
     }
     const FaultModel model(spec, point.writesPerCell);
+    const dse::EngineKind kind =
+        job.isInca ? dse::EngineKind::Inca : dse::EngineKind::Ws;
+    const int adcBits = job.isInca ? opt.inca.adcBits : opt.ws.adcBits;
     point.wear = model.wear();
     point.hardBer = model.stuckRate();
     point.softBer = model.softRate();
     point.driftSigma = model.driftSigma();
-    point.idealAccuracy = dse::accuracyProxy(kind, adcBits, maxWindow,
-                                             opt.noiseSigma);
+    point.idealAccuracy =
+        dse::accuracyProxy(kind, adcBits, maxWindow, opt.noiseSigma);
 
     // Stream base: a content hash of the point's identity, so every
     // trial is reproducible regardless of evaluation order.
@@ -93,77 +106,116 @@ evaluatePoint(const CampaignOptions &opt, const PointJob &job,
     streamKey.add(job.sweep);
     streamKey.add(job.x);
     streamKey.add(spec.seed);
-    const std::uint64_t streamBase = streamKey.hash();
+    return {model,
+            streamKey.hash(),
+            kind,
+            job.isInca ? opt.inca.subarraySize : opt.ws.subarraySize,
+            adcBits,
+            job.isInca ? opt.inca.activationBits
+                       : opt.ws.activationBits,
+            point};
+}
 
-    const int trials = std::max(opt.trials, 1);
-    const double cells = double(arraySize) * double(arraySize);
-    double sumAccuracy = 0.0, sumResidual = 0.0, sumPulses = 0.0;
-    double sumSpareRows = 0.0, sumSpareCols = 0.0;
+/** What one Monte-Carlo trial hands its point's reduction. */
+struct TrialOutcome
+{
+    double accuracy = 0.0;
+    double residual = 0.0; ///< residual bit-error rate
+    double pulses = 0.0;   ///< write pulses per cell
+    int spareRows = 0;
+    int spareCols = 0;
+    bool exhausted = false;
+};
+
+/**
+ * Trial @p t of a point: sample a stuck-cell map, write a random
+ * pattern through the mitigation pipeline, and score the residual
+ * errors. A pure function of (options, point, t).
+ */
+TrialOutcome
+runTrial(const CampaignOptions &opt, const PointSetup &s,
+         int maxWindow, std::int64_t t)
+{
+    const std::uint64_t stream = std::uint64_t(t);
+    RemappedPlane array(s.arraySize, opt.mitigation);
+    applyFaults(s.model.sample(s.arraySize, s.arraySize,
+                               mixStream(s.streamBase, stream)),
+                array.plane());
+    Rng dataRng(mixStream(s.streamBase ^ 0x5ca1ab1e0ddba11ULL, stream));
+    array.writeRandomPattern(dataRng, s.point.softBer);
+
+    const double cells = double(s.arraySize) * double(s.arraySize);
+    TrialOutcome out;
+    out.residual = double(array.residualErrors()) / cells;
+    const double sigma = opt.noiseSigma + s.point.driftSigma +
+                         faultNoiseSigma(out.residual, s.activationBits);
+    out.accuracy = dse::accuracyProxy(s.kind, s.adcBits, maxWindow,
+                                      sigma);
+    out.pulses = double(array.pulses()) / cells;
+    out.spareRows = array.table().usedSpareRows();
+    out.spareCols = array.table().usedSpareCols();
+    out.exhausted = array.table().residualFaults() > 0;
+    return out;
+}
+
+/** A point's running trial sums, folded in trial order. */
+struct TrialSums
+{
+    double accuracy = 0.0, residual = 0.0, pulses = 0.0;
+    double spareRows = 0.0, spareCols = 0.0;
     int exhausted = 0;
-    for (int t = 0; t < trials; ++t) {
-        RemappedPlane array(arraySize, opt.mitigation);
-        const FaultMap map = model.sample(
-            arraySize, arraySize, mixStream(streamBase, t));
-        applyFaults(map, array.plane());
+    double accuracyMin = 0.0, accuracyMax = 0.0;
 
-        Rng dataRng(mixStream(streamBase ^ 0x5ca1ab1e0ddba11ULL, t));
-        for (int r = 0; r < arraySize; ++r)
-            for (int c = 0; c < arraySize; ++c)
-                array.write(r, c, dataRng.below(2) != 0, &dataRng,
-                            point.softBer);
-
-        const double residual =
-            double(array.residualErrors()) / cells;
-        const double sigma = opt.noiseSigma + point.driftSigma +
-                             faultNoiseSigma(residual, aBits);
-        sumAccuracy +=
-            dse::accuracyProxy(kind, adcBits, maxWindow, sigma);
-        sumResidual += residual;
-        sumPulses += double(array.pulses()) / cells;
-        sumSpareRows += double(array.table().usedSpareRows());
-        sumSpareCols += double(array.table().usedSpareCols());
-        if (array.table().residualFaults() > 0)
+    void
+    add(const TrialOutcome &o, std::int64_t t)
+    {
+        accuracy += o.accuracy;
+        residual += o.residual;
+        pulses += o.pulses;
+        spareRows += double(o.spareRows);
+        spareCols += double(o.spareCols);
+        if (o.exhausted)
             ++exhausted;
-
-        const double accuracy =
-            dse::accuracyProxy(kind, adcBits, maxWindow, sigma);
         if (t == 0) {
-            point.accuracyMin = accuracy;
-            point.accuracyMax = accuracy;
+            accuracyMin = accuracyMax = o.accuracy;
         } else {
-            point.accuracyMin = std::min(point.accuracyMin, accuracy);
-            point.accuracyMax = std::max(point.accuracyMax, accuracy);
+            accuracyMin = std::min(accuracyMin, o.accuracy);
+            accuracyMax = std::max(accuracyMax, o.accuracy);
         }
     }
-    point.accuracy = sumAccuracy / double(trials);
-    point.residualBer = sumResidual / double(trials);
-    point.faultSigma = faultNoiseSigma(point.residualBer, aBits);
-    point.pulsesPerWrite = sumPulses / double(trials);
-    point.meanSpareRowsUsed = sumSpareRows / double(trials);
-    point.meanSpareColsUsed = sumSpareCols / double(trials);
-    point.exhaustedFraction = double(exhausted) / double(trials);
+};
 
-    // Mitigation cost: charge write-verify pulses into the engine's
-    // RunCost (the engine runs themselves are memoized upstream).
-    arch::RunCost run;
-    if (job.isInca) {
+/** @p s's point with the trial means of its @p trials sums. */
+CampaignPoint
+finishedPoint(const PointSetup &s, const TrialSums &sums, int trials)
+{
+    CampaignPoint p = s.point;
+    p.accuracy = sums.accuracy / double(trials);
+    p.accuracyMin = sums.accuracyMin;
+    p.accuracyMax = sums.accuracyMax;
+    p.residualBer = sums.residual / double(trials);
+    p.faultSigma = faultNoiseSigma(p.residualBer, s.activationBits);
+    p.pulsesPerWrite = sums.pulses / double(trials);
+    p.meanSpareRowsUsed = sums.spareRows / double(trials);
+    p.meanSpareColsUsed = sums.spareCols / double(trials);
+    p.exhaustedFraction = double(sums.exhausted) / double(trials);
+    return p;
+}
+
+/** One engine's run of the campaign's network, without mitigation. */
+arch::RunCost
+idealRun(const CampaignOptions &opt, bool isInca,
+         const nn::NetworkDesc &net)
+{
+    const bool training = opt.phase == arch::Phase::Training;
+    if (isInca) {
         const core::IncaEngine engine(opt.inca);
-        run = opt.phase == arch::Phase::Training
-                  ? engine.training(net, opt.inca.batchSize)
-                  : engine.inference(net, opt.inca.batchSize);
-    } else {
-        const baseline::BaselineEngine engine(opt.ws);
-        run = opt.phase == arch::Phase::Training
-                  ? engine.training(net, opt.ws.batchSize)
-                  : engine.inference(net, opt.ws.batchSize);
+        return training ? engine.training(net, opt.inca.batchSize)
+                        : engine.inference(net, opt.inca.batchSize);
     }
-    point.idealEnergyJ = run.energy();
-    point.idealLatencyS = run.latency;
-    applyWriteVerify(run, opt.mitigation, point.softBer,
-                     point.hardBer, device, writeLanes);
-    point.energyJ = run.energy();
-    point.latencyS = run.latency;
-    return point;
+    const baseline::BaselineEngine engine(opt.ws);
+    return training ? engine.training(net, opt.ws.batchSize)
+                    : engine.inference(net, opt.ws.batchSize);
 }
 
 void
@@ -205,13 +257,25 @@ runCampaign(const CampaignOptions &opt)
     if (opt.bers.empty() && opt.lifetimes.empty())
         fatal("fault campaign needs at least one sweep point "
               "(--bers or --lifetimes)");
+    // The negated comparisons reject NaN too.
+    for (const double ber : opt.bers)
+        if (!(ber >= 0.0 && ber <= 1.0))
+            fatal("fault campaign BERs must be in [0, 1], got %g "
+                  "(--bers)", ber);
+    for (const double life : opt.lifetimes)
+        if (!(life >= 0.0 && std::isfinite(life)))
+            fatal("fault campaign lifetimes must be finite iteration "
+                  "counts >= 0, got %g (--lifetimes)", life);
+    if (!(opt.noiseSigma >= 0.0))
+        fatal("fault campaign noise sigma must be >= 0, got %g "
+              "(--sigma)", opt.noiseSigma);
 
     trace::Span campaignSpan("reliability.campaign");
     const nn::NetworkDesc net = nn::byName(opt.network);
     const int maxWindow = dse::maxConvWindow(net);
 
-    // Engine-major, BER-sweep-first job order: this is both the fan-
-    // out order and the fixed serial assembly order.
+    // Engine-major, BER-sweep-first job order: the fixed assembly
+    // order of the curves.
     std::vector<PointJob> jobs;
     for (const bool isInca : {true, false}) {
         if ((isInca && !opt.runInca) || (!isInca && !opt.runWs))
@@ -221,40 +285,75 @@ runCampaign(const CampaignOptions &opt)
         for (const double life : opt.lifetimes)
             jobs.push_back({isInca, "lifetime", life});
     }
+    std::vector<PointSetup> points;
+    points.reserve(jobs.size());
+    for (const PointJob &job : jobs)
+        points.push_back(setUpPoint(opt, job, net, maxWindow));
 
-    // Fan points across the ThreadPool into pre-sized slots; each
-    // slot is a pure function of (options, job), so contents never
-    // depend on scheduling.
-    std::vector<CampaignPoint> slots(jobs.size());
-    auto &trialCtr = metrics::counter("reliability.trials");
-    auto &pointCtr = metrics::counter("reliability.points");
-    parallel_for_each(
-        std::int64_t(jobs.size()), 1, [&](std::int64_t i) {
-            const PointJob &job = jobs[std::size_t(i)];
-            trace::Span span(trace::spanName(
-                "reliability.point ",
-                std::string(job.isInca ? "inca " : "ws ") + job.sweep +
-                    " " + num17(job.x)));
+    // Fan (point, trial) pairs across the ThreadPool, one block of
+    // trials at a time, into pre-sized slots; each slot is a pure
+    // function of (options, point, trial), so contents never depend
+    // on scheduling. Slots are trial-major, so every pool chunk mixes
+    // the cheap IS trials with the dear WS ones. Each point then
+    // folds its block serially in trial order: the sums run in the
+    // same order at any thread count.
+    const std::int64_t trials = opt.trials;
+    const std::int64_t nPoints = std::int64_t(points.size());
+    std::vector<TrialSums> sums(points.size());
+    std::vector<TrialOutcome> slots(
+        std::size_t(nPoints * std::min(trials, kTrialBlock)));
+    for (std::int64_t first = 0; first < trials; first += kTrialBlock) {
+        const std::int64_t block = std::min(kTrialBlock, trials - first);
+        parallel_for_each(block * nPoints, 1, [&](std::int64_t i) {
             slots[std::size_t(i)] =
-                evaluatePoint(opt, job, net, maxWindow);
-            pointCtr.inc();
-            trialCtr.inc(std::uint64_t(std::max(opt.trials, 1)));
+                runTrial(opt, points[std::size_t(i % nPoints)],
+                         maxWindow, first + i / nPoints);
         });
+        for (std::int64_t p = 0; p < nPoints; ++p)
+            for (std::int64_t k = 0; k < block; ++k)
+                sums[std::size_t(p)].add(
+                    slots[std::size_t(k * nPoints + p)], first + k);
+    }
 
-    // Serial reduction in job order.
+    // Mitigation cost: every point of an engine charges write-verify
+    // pulses onto the same ideal run, so each engine runs once.
+    arch::RunCost incaRun, wsRun;
+    if (opt.runInca)
+        incaRun = idealRun(opt, true, net);
+    if (opt.runWs)
+        wsRun = idealRun(opt, false, net);
+
     CampaignResult result;
     result.options = opt;
+    auto &trialCtr = metrics::counter("reliability.trials");
+    auto &pointCtr = metrics::counter("reliability.points");
     auto &exhaustedCtr =
         metrics::counter("reliability.exhausted_points");
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::string engine = jobs[i].isInca ? "inca" : "ws";
+        const bool isInca = jobs[i].isInca;
+        CampaignPoint point =
+            finishedPoint(points[i], sums[i], opt.trials);
+        arch::RunCost run = isInca ? incaRun : wsRun;
+        point.idealEnergyJ = run.energy();
+        point.idealLatencyS = run.latency;
+        applyWriteVerify(
+            run, opt.mitigation, point.softBer, point.hardBer,
+            isInca ? opt.inca.device : opt.ws.device,
+            double(isInca ? opt.inca.org.totalSubarrays()
+                          : opt.ws.org.totalSubarrays()));
+        point.energyJ = run.energy();
+        point.latencyS = run.latency;
+
+        const std::string engine = isInca ? "inca" : "ws";
         if (result.curves.empty() ||
             result.curves.back().engine != engine) {
             result.curves.push_back({engine, {}});
         }
-        result.curves.back().points.push_back(slots[i]);
-        result.trialsRun += std::uint64_t(std::max(opt.trials, 1));
-        if (slots[i].exhaustedFraction > 0.0)
+        result.curves.back().points.push_back(point);
+        result.trialsRun += std::uint64_t(opt.trials);
+        pointCtr.inc();
+        trialCtr.inc(std::uint64_t(opt.trials));
+        if (point.exhaustedFraction > 0.0)
             exhaustedCtr.inc();
     }
     return result;

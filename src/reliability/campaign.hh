@@ -21,11 +21,13 @@
  * every point reports ideal and mitigated energy/latency side by
  * side.
  *
- * Determinism: points fan out across the ThreadPool into pre-sized
- * slots; each trial draws from an independent splitmix64 substream
- * keyed by (seed, engine, point, trial), and all aggregation is a
- * serial reduction in fixed order. Output is bit-identical at any
- * thread count.
+ * Determinism: the points are set up serially, then their trials,
+ * not the points, fan out across the ThreadPool into pre-sized
+ * per-trial slots, one fixed-size block of trials at a time. Each
+ * trial draws from an independent splitmix64 substream keyed by
+ * (seed, engine, point, trial); each point folds its slots serially
+ * in trial order, then charges its engine's run. Output is
+ * bit-identical at any thread count.
  */
 
 #ifndef INCA_RELIABILITY_CAMPAIGN_HH

@@ -104,10 +104,11 @@ applyFaults(const FaultMap &map, core::BitPlane &plane)
     inca_assert(map.rows <= plane.size() && map.cols <= plane.size(),
                 "fault map %dx%d larger than plane %dx%d", map.rows,
                 map.cols, plane.size(), plane.size());
-    for (int r = 0; r < map.rows; ++r)
+    const std::int8_t *row = map.stuck.data();
+    for (int r = 0; r < map.rows; ++r, row += map.cols)
         for (int c = 0; c < map.cols; ++c)
-            if (map.at(r, c) >= 0)
-                plane.injectStuckAt(r, c, map.at(r, c) != 0);
+            if (row[c] >= 0)
+                plane.injectStuckAt(r, c, row[c] != 0);
 }
 
 void

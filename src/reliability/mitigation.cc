@@ -47,12 +47,59 @@ RemappedPlane::RemappedPlane(int size, const MitigationSpec &spec)
     // BitPlane is square; one side holds the spare rows and the
     // other the spare columns, so the physical side is size + the
     // larger spare count.
-    : size_(size), spec_(spec),
+    : size_(size), spec_(spec), verify_(spec.verifyEnabled()),
+      attempts_(1 + (verify_ ? std::max(spec.writeVerifyRetries, 0)
+                             : 0)),
       plane_(size +
              std::max(std::max(spec.spareRows, spec.spareCols), 0)),
       table_(size, size, spec.spareRows, spec.spareCols),
       intended_(std::size_t(size) * std::size_t(size), -1)
 {
+}
+
+namespace {
+
+/**
+ * The state one write pulse leaves: @p bit, unless a soft
+ * write-variation event (probability @p softBer, drawn from @p rng
+ * when given) flips it.
+ */
+inline bool
+pulseState(bool bit, Rng *rng, double softBer)
+{
+    return bit != (rng != nullptr && softBer > 0.0 &&
+                   rng->uniform() < softBer);
+}
+
+} // namespace
+
+inline int
+RemappedPlane::writeCell(int row, int col, bool bit, Rng *rng,
+                         double softBer, bool verify, int attempts)
+{
+    intended_[std::size_t(row) * std::size_t(size_) +
+              std::size_t(col)] = bit ? 1 : 0;
+    // The cell's lines move only once it has failed for good, so one
+    // lookup serves every pulse. The maps are read unchecked (the
+    // callers bound row and col): the accessors' panic paths cost the
+    // sweep's loop enough registers to spill the generator, which
+    // doubled its time. Stuck cells ignore the pulses entirely
+    // (BitPlane fault semantics).
+    const int pr = table_.rowMap_[std::size_t(row)];
+    const int pc = table_.colMap_[std::size_t(col)];
+    plane_.writeCell(pr, pc, pulseState(bit, rng, softBer));
+    if (!verify)
+        return 1; // blind write: errors persist
+    int issued = 1;
+    while (plane_.cell(pr, pc) != bit) {
+        if (issued == attempts) {
+            remapFault(row, col);
+            break;
+        }
+        plane_.writeCell(pr, pc, pulseState(bit, rng, softBer));
+        ++issued;
+    }
+    return issued;
 }
 
 int
@@ -62,34 +109,38 @@ RemappedPlane::write(int row, int col, bool bit, Rng *rng,
     inca_assert(row >= 0 && row < size_ && col >= 0 && col < size_,
                 "logical cell (%d, %d) outside %dx%d array", row, col,
                 size_, size_);
-    intended_[std::size_t(row) * std::size_t(size_) +
-              std::size_t(col)] = bit ? 1 : 0;
+    const int issued =
+        writeCell(row, col, bit, rng, softBer, verify_, attempts_);
+    pulses_ += std::uint64_t(issued);
+    return issued;
+}
 
-    const int attempts =
-        1 + (spec_.verifyEnabled()
-                 ? std::max(spec_.writeVerifyRetries, 0)
-                 : 0);
-    int issued = 0;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-        const int pr = table_.physicalRow(row);
-        const int pc = table_.physicalCol(col);
-        // A soft write-variation event leaves the cell in the wrong
-        // state; stuck cells ignore the write entirely (BitPlane
-        // fault semantics).
-        const bool flipped =
-            rng != nullptr && softBer > 0.0 && rng->uniform() < softBer;
-        plane_.writeCell(pr, pc, flipped ? !bit : bit);
-        ++issued;
-        pulses_ += 1;
-        if (!spec_.verifyEnabled())
-            return issued; // blind write: errors persist
-        if (plane_.cell(pr, pc) == bit)
-            return issued; // verified
-    }
+void
+RemappedPlane::writeRandomPattern(Rng &rng, double softBer)
+{
+    // The loop stores bytes into the cells and the intent buffer, and
+    // a byte store may alias any object whose address escaped, rng
+    // included. This copy's address never escapes, so its state stays
+    // in registers across both draws of every cell.
+    Rng local = rng;
+    const int size = size_;
+    const bool verify = verify_;
+    const int attempts = attempts_;
+    std::uint64_t issued = 0;
+    for (int r = 0; r < size; ++r)
+        for (int c = 0; c < size; ++c)
+            issued += std::uint64_t(
+                writeCell(r, c, local.below(2) != 0, &local, softBer,
+                          verify, attempts));
+    pulses_ += issued;
+    rng = local;
+}
 
-    // The cell never verified within the budget: a persistent (hard)
-    // fault. Remap its line when a spare remains and replay the
-    // buffered intent onto the healthy replacement.
+void
+RemappedPlane::remapFault(int row, int col)
+{
+    // A persistent (hard) fault: remap its line when a spare remains
+    // and replay the buffered intent onto the healthy replacement.
     const bool rowWasRemapped = table_.rowRemapped(row);
     const bool colWasRemapped = table_.colRemapped(col);
     if (table_.noteFault(row, col)) {
@@ -98,7 +149,6 @@ RemappedPlane::write(int row, int col, bool bit, Rng *rng,
         else if (!colWasRemapped && table_.colRemapped(col))
             replayCol(col);
     }
-    return issued;
 }
 
 void
@@ -148,13 +198,13 @@ RemappedPlane::residualErrors() const
 {
     int errors = 0;
     for (int r = 0; r < size_; ++r) {
-        for (int c = 0; c < size_; ++c) {
-            const std::int8_t want =
-                intended_[std::size_t(r) * std::size_t(size_) +
-                          std::size_t(c)];
-            if (want >= 0 && read(r, c) != (want != 0))
+        const int pr = table_.physicalRow(r);
+        const std::int8_t *want =
+            intended_.data() + std::size_t(r) * std::size_t(size_);
+        for (int c = 0; c < size_; ++c)
+            if (want[c] >= 0 &&
+                plane_.cell(pr, table_.physicalCol(c)) != (want[c] != 0))
                 ++errors;
-        }
     }
     return errors;
 }

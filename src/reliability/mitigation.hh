@@ -103,8 +103,8 @@ class RemapTable
     int rows() const { return rows_; }
     int cols() const { return cols_; }
 
-    // Lookups are inline: RemappedPlane::write consults the table on
-    // every pulse of every cell, the hottest path in a campaign.
+    // Lookups are inline: RemappedPlane's readback consults the table
+    // on every cell of every campaign trial.
 
     /** Physical row backing logical @p row. */
     int physicalRow(int row) const
@@ -138,6 +138,10 @@ class RemapTable
     int residualFaults() const { return residual_; }
 
   private:
+    // RemappedPlane's cell path reads the maps unchecked; its callers
+    // bound the logical coordinates.
+    friend class RemappedPlane;
+
     int rows_, cols_, spareRows_, spareCols_;
     std::vector<int> rowMap_, colMap_; ///< logical -> physical line
     int usedSpareRows_ = 0;
@@ -149,8 +153,9 @@ class RemapTable
  * A logical size x size bit array backed by a physical BitPlane with
  * spare lines, written through write-verify retry and remapped on
  * persistent failures. This is the functional model the Monte-Carlo
- * campaign trials and the property tests drive; inject hard faults
- * into plane() (logical region only) before writing.
+ * campaign trials (writeRandomPattern) and the property tests drive;
+ * inject hard faults into plane() (logical region only) before
+ * writing.
  */
 class RemappedPlane
 {
@@ -178,6 +183,17 @@ class RemappedPlane
     int write(int row, int col, bool bit, Rng *rng = nullptr,
               double softBer = 0.0);
 
+    /**
+     * Write a random bit to every cell: exactly the draws and writes
+     * of the row-major loop
+     * `write(r, c, rng.below(2) != 0, &rng, softBer)`, so the cells,
+     * counters and @p rng end where that loop leaves them. The
+     * generator runs in a local copy, written back at the end, and
+     * the checks sit outside the cell loop. One Monte-Carlo campaign
+     * trial is one call.
+     */
+    void writeRandomPattern(Rng &rng, double softBer);
+
     /** Read one logical bit back through the remap table. */
     bool read(int row, int col) const;
 
@@ -188,6 +204,21 @@ class RemappedPlane
     std::uint64_t pulses() const { return pulses_; }
 
   private:
+    /**
+     * One cell through the pipeline: the body write() and
+     * writeRandomPattern() share, defined inline in mitigation.cc.
+     * @p verify and @p attempts are verify_ and attempts_, passed in
+     * so the sweep's loop holds them in registers.
+     * @return pulses issued, not yet added to pulses_ (replays add
+     * theirs).
+     */
+    inline int writeCell(int row, int col, bool bit, Rng *rng,
+                         double softBer, bool verify, int attempts);
+    /**
+     * A cell that never verified within the budget: remap its line
+     * and replay the buffered intent (the cold path, out of line).
+     */
+    void remapFault(int row, int col);
     /** Re-write every intended bit of a remapped row from buffer. */
     void replayRow(int row);
     /** Re-write every intended bit of a remapped column. */
@@ -195,6 +226,8 @@ class RemappedPlane
 
     int size_;
     MitigationSpec spec_;
+    bool verify_;  ///< spec_.verifyEnabled()
+    int attempts_; ///< pulses a cell gets before it counts as stuck
     core::BitPlane plane_;
     RemapTable table_;
     std::vector<std::int8_t> intended_; ///< -1 unwritten, else 0/1

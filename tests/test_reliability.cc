@@ -2,13 +2,15 @@
  * @file
  * The reliability engine: wear -> BER curves, deterministic fault
  * sampling, write-verify retry and spare-line remapping (including
- * ~200 seeded property cases), mitigation cost accounting, campaign
- * determinism across thread counts and cache states, and the DSE
- * resilience objective / min_accuracy_at_ber constraint wiring.
+ * ~300 seeded property cases), mitigation cost accounting, campaign
+ * determinism across thread counts and cache states plus its pinned
+ * bytes, and the DSE resilience objective / min_accuracy_at_ber
+ * constraint wiring.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -184,7 +186,7 @@ TEST(WsCrossbarFaultsDeath, OutOfRangeFaultIsFatal)
 }
 
 // ---------------------------------------------------------------------
-// Property tests: remapping and retry (seeded, ~200 cases)
+// Property tests: remapping and retry (seeded, ~300 cases)
 // ---------------------------------------------------------------------
 
 TEST(RemapProperty, ReadsSurviveAnyFaultPatternWithinSpareCapacity)
@@ -251,6 +253,64 @@ TEST(RemapProperty, ExhaustedSparesDegradeGracefully)
     EXPECT_GT(array.table().residualFaults(), 0);
     EXPECT_GT(array.residualErrors(), 0);
     EXPECT_LE(array.residualErrors(), 4); // the uncovered stuck cells
+}
+
+TEST(RemapProperty, RandomPatternSweepMatchesPerCellWrites)
+{
+    // 100 seeded cases: writeRandomPattern must leave exactly what
+    // the row-major write() loop it stands for leaves -- every
+    // physical cell, the counters, and the generator's position.
+    // Every fifth case writes blind (the campaign default), every
+    // tenth uses the WS 128x128 array.
+    for (std::uint64_t seed = 0; seed < 100; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(kDefaultSeed ^ (seed * 0xbf58476d1ce4e5b9ULL));
+        const int size = seed % 10 == 3 ? 128 : 4 + int(rng.below(13));
+        MitigationSpec spec;
+        if (seed % 5 != 0) {
+            spec.writeVerifyRetries = int(rng.below(4));
+            spec.spareRows = int(rng.below(4));
+            spec.spareCols = int(rng.below(4));
+        }
+        const double softBers[] = {0.0, 1e-3, 0.2};
+        const double softBer = softBers[rng.below(3)];
+        FaultSpec faults;
+        const double hardBers[] = {0.0, 0.01, 0.1};
+        faults.hardBer0 = hardBers[rng.below(3)];
+        const FaultMap map =
+            FaultModel(faults, 0.0).sample(size, size, seed);
+
+        RemappedPlane perCell(size, spec);
+        RemappedPlane sweep(size, spec);
+        applyFaults(map, perCell.plane());
+        applyFaults(map, sweep.plane());
+        Rng a(seed + 1);
+        Rng b(seed + 1);
+        for (int r = 0; r < size; ++r)
+            for (int c = 0; c < size; ++c)
+                perCell.write(r, c, a.below(2) != 0, &a, softBer);
+        sweep.writeRandomPattern(b, softBer);
+
+        EXPECT_EQ(sweep.pulses(), perCell.pulses());
+        EXPECT_EQ(sweep.table().usedSpareRows(),
+                  perCell.table().usedSpareRows());
+        EXPECT_EQ(sweep.table().usedSpareCols(),
+                  perCell.table().usedSpareCols());
+        EXPECT_EQ(sweep.table().residualFaults(),
+                  perCell.table().residualFaults());
+        EXPECT_EQ(sweep.residualErrors(), perCell.residualErrors());
+        const int side = sweep.plane().size();
+        for (int r = 0; r < side; ++r)
+            for (int c = 0; c < side; ++c)
+                ASSERT_EQ(sweep.plane().cell(r, c),
+                          perCell.plane().cell(r, c))
+                    << r << ", " << c;
+        for (int r = 0; r < size; ++r)
+            for (int c = 0; c < size; ++c)
+                ASSERT_EQ(sweep.read(r, c), perCell.read(r, c))
+                    << r << ", " << c;
+        EXPECT_EQ(b.next(), a.next());
+    }
 }
 
 TEST(RetryProperty, PulsesMonotoneInBudgetAndSoftErrorsRetryAway)
@@ -391,12 +451,40 @@ class CampaignTest : public ::testing::Test
     }
 };
 
+/** FNV-1a 64 of @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST_F(CampaignTest, CsvBytesMatchThePinnedDigests)
+{
+    // Every other campaign case compares two runs of one build; these
+    // digests pin the bytes across commits, so a trial loop that
+    // reorders a single draw fails here. fault_campaign's defaults on
+    // resnet18 (blind writes, both engines, 3 BER + 3 lifetime
+    // points, 16 trials), then its lenet5 spec (2 retries, 2 spare
+    // rows).
+    EXPECT_EQ(fnv1a(campaignCsv(runCampaign(CampaignOptions{}))),
+              0x76e42966b3388531ULL);
+    EXPECT_EQ(fnv1a(campaignCsv(
+                  runCampaign(testutil::lenet5Campaign()))),
+              0xa6df07b273bcc3f4ULL);
+}
+
 TEST_F(CampaignTest, CsvIsByteIdenticalAtEveryThreadCount)
 {
     // The small campaign's CSV, and fault_campaign's lenet5 spec with
     // its JSON too (the provenance block records the thread count).
+    // Three lanes divide neither the trial nor the point count.
     std::string small, spec;
-    for (const int threads : {1, 2, 8}) {
+    for (const int threads : {1, 2, 3, 8}) {
         SCOPED_TRACE(threads);
         ThreadPool::setGlobalThreads(threads);
         clearAllCaches();
@@ -536,6 +624,33 @@ TEST_F(CampaignTest, RejectsEmptyCampaignsWithActionableErrors)
     noPoints.lifetimes.clear();
     EXPECT_EXIT(runCampaign(noPoints), ::testing::ExitedWithCode(1),
                 "sweep point");
+}
+
+TEST_F(CampaignTest, RejectsOutOfDomainInputsNamingTheValue)
+{
+    // Each was a silent wrong answer or an assertion panic: a
+    // negative lifetime tripped FaultModel's write-count assert, a
+    // BER of 2 ran clamped to 0.5, and a negative sigma scored
+    // accuracies above 100 %.
+    CampaignOptions life = smallCampaign();
+    life.lifetimes = {1e3, -3324.5};
+    EXPECT_EXIT(runCampaign(life), ::testing::ExitedWithCode(1),
+                "lifetimes must be finite iteration counts >= 0, got "
+                "-3324.5 \\(--lifetimes\\)");
+    CampaignOptions ber = smallCampaign();
+    ber.bers = {1e-4, 2.0};
+    EXPECT_EXIT(runCampaign(ber), ::testing::ExitedWithCode(1),
+                "BERs must be in \\[0, 1\\], got 2 \\(--bers\\)");
+    ber.bers = {-1e-3};
+    EXPECT_EXIT(runCampaign(ber), ::testing::ExitedWithCode(1),
+                "BERs must be in \\[0, 1\\], got -0.001");
+    ber.bers = {std::nan("")};
+    EXPECT_EXIT(runCampaign(ber), ::testing::ExitedWithCode(1),
+                "BERs must be in \\[0, 1\\], got nan");
+    CampaignOptions sigma = smallCampaign();
+    sigma.noiseSigma = -0.1;
+    EXPECT_EXIT(runCampaign(sigma), ::testing::ExitedWithCode(1),
+                "noise sigma must be >= 0, got -0.1 \\(--sigma\\)");
 }
 
 // ---------------------------------------------------------------------
