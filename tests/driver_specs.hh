@@ -9,6 +9,9 @@
 #ifndef INCA_TESTS_DRIVER_SPECS_HH
 #define INCA_TESTS_DRIVER_SPECS_HH
 
+#include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "arch/config.hh"
@@ -91,6 +94,50 @@ lenet5Campaign()
     opt.mitigation.writeVerifyRetries = 2;
     opt.mitigation.spareRows = 2;
     return opt;
+}
+
+/**
+ * bench_e2e's explore spec -- explore --network resnet50 --strategy
+ * anneal --objectives energy,latency_timed,p99_latency --arrivals
+ * poisson --rate 2k/s --slo-ms 25 on the default IS space -- cut to
+ * @p budget proposals.
+ */
+inline dse::ExploreOptions
+benchExploreOptions(std::uint64_t budget)
+{
+    dse::ExploreOptions opt;
+    opt.engine = dse::EngineKind::Inca;
+    opt.network = "resnet50";
+    opt.strategy = dse::StrategyKind::Anneal;
+    opt.budget = budget;
+    opt.objectives =
+        dse::objectivesByNames("energy,latency_timed,p99_latency");
+    opt.serving.arrivals.kind = serving::ArrivalKind::Poisson;
+    opt.serving.arrivals.ratePerS = 2e3;
+    opt.serving.sloS = 25e-3;
+    return opt;
+}
+
+/** FNV-1a 64 of @p bytes: the digest the pinned-bytes cases hold. */
+inline std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** The whole file at @p path ("" when it cannot be read). */
+inline std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
 }
 
 /** A campaign's CSV and its JSON without provenance. */

@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/cache.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "driver_specs.hh"
@@ -621,6 +623,109 @@ TEST(Explorer, FrontierIdenticalAcrossThreadCounts)
         EXPECT_EQ(b, seeded);
     }
     ThreadPool::setGlobalThreads(1);
+}
+
+TEST(Explorer, OutputsMatchThePinnedDigests)
+{
+    // Every other explore case compares two runs of one build; these
+    // digests pin the bytes across commits, so a scoring change that
+    // moves one digit fails here. bench_e2e's explore spec, then with
+    // a hard lossless_adc bound (the 3-bit candidates stop before any
+    // engine run or cost slot), then with the bound soft; each at 1, 3
+    // and 4 lanes with the memo on and off.
+    struct Pinned
+    {
+        const char *constraint;
+        bool soft;
+        std::uint64_t csv, json, journal;
+    };
+    const Pinned cases[] = {
+        {"", false, 0x6daa26f84025e8ecULL, 0x80ce83b25e5e80cfULL,
+         0x79cefd4fa74516acULL},
+        {"lossless_adc=1", false, 0x6a74b21b97a653b8ULL,
+         0x5c1d88d3c5a8fba2ULL, 0xcdbfbc34e6938de1ULL},
+        {"lossless_adc=1", true, 0x6a74b21b97a653b8ULL,
+         0xd235763974abf996ULL, 0x8950693125acf31bULL},
+    };
+    const std::string journal =
+        ::testing::TempDir() + "/dse_pinned.jsonl";
+    for (const Pinned &c : cases) {
+        ExploreOptions opt = testutil::benchExploreOptions(16);
+        if (*c.constraint != '\0')
+            opt.constraints.set(c.constraint);
+        opt.softConstraints = c.soft;
+        opt.journalPath = journal;
+        for (const int threads : {1, 3, 4}) {
+            for (const bool memo : {true, false}) {
+                SCOPED_TRACE(std::string(c.constraint) +
+                             (c.soft ? " soft" : "") + " threads " +
+                             std::to_string(threads) +
+                             (memo ? " memo" : " no memo"));
+                ThreadPool::setGlobalThreads(threads);
+                setCacheEnabled(memo);
+                Explorer explorer(defaultSpace(EngineKind::Inca), opt);
+                const ExploreResult result = explorer.run();
+                EXPECT_EQ(testutil::fnv1a(csvOf(explorer, result)),
+                          c.csv);
+                EXPECT_EQ(testutil::fnv1a(testutil::withoutProvenance(
+                              frontierJson(explorer, result))),
+                          c.json);
+                EXPECT_EQ(testutil::fnv1a(testutil::slurp(journal)),
+                          c.journal);
+            }
+        }
+    }
+    std::remove(journal.c_str());
+    ThreadPool::setGlobalThreads(1);
+    setCacheEnabled(cacheEnabledFromEnv(std::getenv("INCA_CACHE")));
+}
+
+/** Every run exportFrontierRuns wrote under @p prefix, in frontier
+ *  order: CSV bytes, then JSON without provenance. Removes them. */
+std::pair<std::string, std::string>
+takeExports(const ExploreResult &result, const std::string &prefix)
+{
+    std::string csv, json;
+    for (const Evaluation &e : result.frontier) {
+        const std::string base =
+            prefix + "-" + std::to_string(e.candidate.index);
+        csv += testutil::slurp(base + ".csv");
+        json += testutil::withoutProvenance(
+            testutil::slurp(base + ".json"));
+        std::remove((base + ".csv").c_str());
+        std::remove((base + ".json").c_str());
+    }
+    return {csv, json};
+}
+
+TEST(Explorer, ExportedRunsMatchThePinnedDigests)
+{
+    // explore --strategy random --seed 7 --budget 48 --journal J
+    // --export-runs P: the per-layer rows of every frontier member.
+    // A run resumed from the whole journal replays the frontier
+    // without scoring anything, then exports the same files.
+    const std::string dir = ::testing::TempDir();
+    const std::string journal = dir + "/dse_export.jsonl";
+    ExploreOptions opt = randomSeed7Options();
+    opt.journalPath = journal;
+    Explorer uninterrupted(defaultSpace(EngineKind::Inca), opt);
+    const ExploreResult want = uninterrupted.run();
+    ASSERT_FALSE(want.frontier.empty());
+    exportFrontierRuns(uninterrupted, want, dir + "/dse_export_a");
+    const auto [csv, json] = takeExports(want, dir + "/dse_export_a");
+    EXPECT_EQ(testutil::fnv1a(csv), 0xb69ba5409bad3e35ULL);
+    EXPECT_EQ(testutil::fnv1a(json), 0xeb6a29f2d252fbfbULL);
+
+    opt.resume = true;
+    Explorer resumed(defaultSpace(EngineKind::Inca), opt);
+    const ExploreResult got = resumed.run();
+    EXPECT_EQ(got.reused, got.evaluations.size());
+    exportFrontierRuns(resumed, got, dir + "/dse_export_b");
+    const auto [csvResumed, jsonResumed] =
+        takeExports(got, dir + "/dse_export_b");
+    EXPECT_EQ(csvResumed, csv);
+    EXPECT_EQ(jsonResumed, json);
+    std::remove(journal.c_str());
 }
 
 TEST(Explorer, HardConstraintSkipsScoring)

@@ -451,18 +451,6 @@ class CampaignTest : public ::testing::Test
     }
 };
 
-/** FNV-1a 64 of @p bytes. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const unsigned char b : bytes) {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 TEST_F(CampaignTest, CsvBytesMatchThePinnedDigests)
 {
     // Every other campaign case compares two runs of one build; these
@@ -471,9 +459,9 @@ TEST_F(CampaignTest, CsvBytesMatchThePinnedDigests)
     // resnet18 (blind writes, both engines, 3 BER + 3 lifetime
     // points, 16 trials), then its lenet5 spec (2 retries, 2 spare
     // rows).
-    EXPECT_EQ(fnv1a(campaignCsv(runCampaign(CampaignOptions{}))),
+    EXPECT_EQ(testutil::fnv1a(campaignCsv(runCampaign(CampaignOptions{}))),
               0x76e42966b3388531ULL);
-    EXPECT_EQ(fnv1a(campaignCsv(
+    EXPECT_EQ(testutil::fnv1a(campaignCsv(
                   runCampaign(testutil::lenet5Campaign()))),
               0xa6df07b273bcc3f4ULL);
 }
