@@ -99,6 +99,16 @@ parseDouble(const char *flag, const char *text)
     return v;
 }
 
+/** Parse a finite value >= 0 or die. */
+inline double
+parseNonNegative(const char *flag, const char *text)
+{
+    const double v = parseDouble(flag, text);
+    if (v < 0.0)
+        fatal("%s must be non-negative, got '%s'", flag, text);
+    return v;
+}
+
 /** Parse a comma-separated list of doubles ("1e-4,1e-3") or die. */
 inline std::vector<double>
 parseDoubleList(const char *flag, const char *text)
@@ -160,6 +170,16 @@ parseDuration(const char *flag, const char *text)
     fatal("%s: unknown duration unit '%s' in '%s' (expected ns, us, "
           "ms, or s)",
           flag, unit.c_str(), text);
+}
+
+/** parseDuration for a span that must be strictly positive. */
+inline double
+parsePositiveDuration(const char *flag, const char *text)
+{
+    const double v = parseDuration(flag, text);
+    if (v <= 0.0)
+        fatal("%s must be positive, got '%s'", flag, text);
+    return v;
 }
 
 /**

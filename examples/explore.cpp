@@ -186,7 +186,8 @@ main(int argc, char **argv)
             opt.serving.arrivals.ratePerS =
                 cli::parseRate(a, value(i));
         } else if (std::strcmp(a, "--serve-duration") == 0) {
-            opt.serving.durationS = cli::parseDuration(a, value(i));
+            opt.serving.durationS =
+                cli::parsePositiveDuration(a, value(i));
         } else if (std::strcmp(a, "--serve-seed") == 0) {
             opt.serving.arrivals.seed = cli::parseU64(a, value(i));
         } else if (std::strcmp(a, "--serve-replicas") == 0) {
@@ -216,7 +217,7 @@ main(int argc, char **argv)
                 cli::parseDuration(a, s.c_str() + colon + 1);
         } else if (std::strcmp(a, "--slo-ms") == 0) {
             opt.serving.sloS =
-                cli::parseDouble(a, value(i)) * 1e-3;
+                cli::parseNonNegative(a, value(i)) * 1e-3;
         } else if (std::strcmp(a, "--failures") == 0) {
             opt.serving.failures =
                 serving::parseFailureSpec(a, value(i));
@@ -224,9 +225,7 @@ main(int argc, char **argv)
             opt.serving.retry = serving::parseRetrySpec(a, value(i));
         } else if (std::strcmp(a, "--deadline-ms") == 0) {
             opt.serving.deadlineS =
-                cli::parseDouble(a, value(i)) * 1e-3;
-            if (opt.serving.deadlineS < 0.0)
-                fatal("%s: deadline must be non-negative", a);
+                cli::parseNonNegative(a, value(i)) * 1e-3;
         } else if (std::strcmp(a, "--queue-cap") == 0) {
             opt.serving.queueCap = cli::parseU64(a, value(i));
         } else if (std::strcmp(a, "--journal") == 0) {

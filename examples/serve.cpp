@@ -174,21 +174,29 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--rate") == 0) {
             spec.arrivals.ratePerS = cli::parseRate(a, value(i));
         } else if (std::strcmp(a, "--duration") == 0) {
-            spec.durationS = cli::parseDuration(a, value(i));
+            spec.durationS = cli::parsePositiveDuration(a, value(i));
         } else if (std::strcmp(a, "--seed") == 0) {
             spec.arrivals.seed = cli::parseU64(a, value(i));
         } else if (std::strcmp(a, "--burst") == 0) {
-            spec.arrivals.burstFactor = cli::parseDouble(a, value(i));
+            const char *text = value(i);
+            spec.arrivals.burstFactor = cli::parseDouble(a, text);
+            if (spec.arrivals.burstFactor < 1.0)
+                fatal("%s must be >= 1, got '%s'", a, text);
         } else if (std::strcmp(a, "--mean-on") == 0) {
-            spec.arrivals.meanOnS = cli::parseDuration(a, value(i));
+            spec.arrivals.meanOnS =
+                cli::parsePositiveDuration(a, value(i));
         } else if (std::strcmp(a, "--mean-off") == 0) {
-            spec.arrivals.meanOffS = cli::parseDuration(a, value(i));
+            spec.arrivals.meanOffS =
+                cli::parsePositiveDuration(a, value(i));
         } else if (std::strcmp(a, "--period") == 0) {
             spec.arrivals.diurnalPeriodS =
-                cli::parseDuration(a, value(i));
+                cli::parsePositiveDuration(a, value(i));
         } else if (std::strcmp(a, "--depth") == 0) {
-            spec.arrivals.diurnalDepth =
-                cli::parseDouble(a, value(i));
+            const char *text = value(i);
+            spec.arrivals.diurnalDepth = cli::parseDouble(a, text);
+            if (spec.arrivals.diurnalDepth < 0.0 ||
+                spec.arrivals.diurnalDepth >= 1.0)
+                fatal("%s must be in [0, 1), got '%s'", a, text);
         } else if (std::strcmp(a, "--replicas") == 0) {
             spec.replicas = cli::parseIntIn(a, value(i), 1);
         } else if (std::strcmp(a, "--shard") == 0) {
@@ -196,7 +204,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--batch-policy") == 0) {
             spec.batch = parseBatchPolicy(a, value(i));
         } else if (std::strcmp(a, "--slo-ms") == 0) {
-            spec.sloS = cli::parseDouble(a, value(i)) * 1e-3;
+            spec.sloS = cli::parseNonNegative(a, value(i)) * 1e-3;
         } else if (std::strcmp(a, "--failures") == 0) {
             // The --fail-* knobs compose with --failures in any
             // flag order: parse replaces only what it names.
@@ -221,9 +229,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--retry") == 0) {
             spec.retry = serving::parseRetrySpec(a, value(i));
         } else if (std::strcmp(a, "--deadline-ms") == 0) {
-            spec.deadlineS = cli::parseDouble(a, value(i)) * 1e-3;
-            if (spec.deadlineS < 0.0)
-                fatal("%s: deadline must be non-negative", a);
+            spec.deadlineS = cli::parseNonNegative(a, value(i)) * 1e-3;
         } else if (std::strcmp(a, "--hedge") == 0) {
             spec.hedgeDelayS = cli::parseDuration(a, value(i));
         } else if (std::strcmp(a, "--queue-cap") == 0) {

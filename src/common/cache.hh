@@ -26,16 +26,15 @@
  *    computing, so the memo composes with the ThreadPool fan-out.
  *
  * Memoization is ON by default; INCA_CACHE=0 (or "off"/"false"/"no")
- * turns getOrCompute into a plain call that records nothing. Each
- * instance counts its own hits, misses and the wall clock spent in
- * misses, from which the reports estimate the time the hits saved
- * (see sim::printPhaseTimes).
+ * makes every lookup miss and every insert a no-op, recording
+ * nothing. Each instance counts its own hits, misses and the time its
+ * owner reports spending on misses, from which the reports estimate
+ * the time the hits saved (see sim::printPhaseTimes).
  */
 
 #ifndef INCA_COMMON_CACHE_HH
 #define INCA_COMMON_CACHE_HH
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
@@ -137,7 +136,7 @@ struct CacheStatsSnapshot
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t entries = 0;
-    double missSeconds = 0.0; ///< wall clock spent computing misses
+    double missSeconds = 0.0; ///< time spent computing misses
 
     /** Hits / lookups, in [0, 1]; 0 when never used. */
     double hitRate() const
@@ -212,10 +211,14 @@ std::vector<CacheStatsSnapshot> cacheStats();
 void clearAllCaches();
 
 /**
- * A memo from a 64-bit key to V. Values must be copyable;
- * getOrCompute returns by value. Holds at most one entry per distinct
- * key; nothing is ever evicted, so the owner bounds it by bounding
- * its key set.
+ * A memo from a 64-bit key to V. Values must be copyable; lookups
+ * return copies. Holds at most one entry per distinct key; nothing is
+ * ever evicted, so the owner bounds it by bounding its key set.
+ *
+ * The owner computes a miss itself between lookup() and insert(),
+ * and passes insert() the time the computation took: the explorer
+ * scores a wave's misses as one fan-out of parts, so a miss's time is
+ * the sum of its parts, not one wall-clock interval.
  */
 template <typename V>
 class EvalCache : public CacheBase
@@ -224,30 +227,34 @@ class EvalCache : public CacheBase
     using CacheBase::CacheBase;
 
     /**
-     * Return the stored value for @p key, or run @p compute, store,
-     * and return it. With the cache disabled this is exactly
-     * compute().
+     * Copy the stored value for @p key into @p out and count a hit.
+     * Returns false, counting nothing, when the key is absent or the
+     * cache is disabled.
      */
-    template <typename Fn>
-    V getOrCompute(std::uint64_t key, Fn &&compute)
+    bool lookup(std::uint64_t key, V &out)
     {
         if (!cacheEnabled())
-            return compute();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto it = map_.find(key);
-            if (it != map_.end()) {
-                recordHit();
-                return it->second;
-            }
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        V value = compute();
-        const std::chrono::duration<double> spent =
-            std::chrono::steady_clock::now() - t0;
+            return false;
         std::lock_guard<std::mutex> lock(mutex_);
-        recordMiss(spent.count(), map_.emplace(key, value).second);
-        return value;
+        const auto it = map_.find(key);
+        if (it == map_.end())
+            return false;
+        recordHit();
+        out = it->second;
+        return true;
+    }
+
+    /**
+     * Store @p value under @p key and count one miss that took
+     * @p seconds to compute. The first insert of a key wins. A no-op
+     * when the cache is disabled.
+     */
+    void insert(std::uint64_t key, const V &value, double seconds)
+    {
+        if (!cacheEnabled())
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        recordMiss(seconds, map_.emplace(key, value).second);
     }
 
   private:

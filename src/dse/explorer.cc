@@ -1,8 +1,10 @@
 #include "dse/explorer.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,6 +33,28 @@ namespace inca {
 namespace dse {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/**
+ * The engine call behind a candidate's energy and latency: one run of
+ * @p cfg's engine over @p net at the config's batch size.
+ */
+template <typename Engine, typename Config>
+arch::RunCost
+runOn(const Config &cfg, const nn::NetworkDesc &net, arch::Phase phase)
+{
+    const Engine engine(cfg);
+    return phase == arch::Phase::Training
+               ? engine.training(net, cfg.batchSize)
+               : engine.inference(net, cfg.batchSize);
+}
 
 /**
  * Score the event backend for one candidate: makespan plus the
@@ -184,94 +208,235 @@ Explorer::signature() const
     return os.str();
 }
 
+/**
+ * One miss being scored: its evaluation, the materialized chip its
+ * parts share, its serving spec and cost table (serving scoring
+ * only), and the seconds each part took. Parts run concurrently, but
+ * each writes only its own fields or slot.
+ */
+struct Explorer::Scoring
+{
+    Evaluation e;
+    arch::IncaConfig inca;   ///< the chip, Inca engine
+    arch::BaselineConfig ws; ///< the chip, WS engine
+    /** Passed the pre-score: gets part 0 and the cost slots. */
+    bool proceeds = false;
+    serving::ServingSpec spec;
+    std::optional<serving::CostTable> table;
+    /** Span label ("plane=16 adc_bits=4 ..."); empty untraced. */
+    std::string label;
+    /**
+     * Seconds per part: [0] is the pre-score, part 0 and the
+     * finishing pass, which never overlap; [p] is cost slot p - 1.
+     */
+    std::vector<double> partS;
+
+    /** Parts after the pre-score: part 0 plus one per cost slot. */
+    std::size_t parts() const { return proceeds ? partS.size() : 0; }
+
+    /** The candidate's scoring time: the sum of its parts. */
+    double seconds() const
+    {
+        double sum = 0.0;
+        for (const double t : partS)
+            sum += t;
+        return sum;
+    }
+};
+
 Evaluation
 Explorer::evaluate(std::uint64_t flatIndex) const
 {
-    return memo_.getOrCompute(flatIndex,
-                              [&] { return score(flatIndex); });
+    return evaluateWave({flatIndex}, {}).front();
 }
 
-Evaluation
-Explorer::score(std::uint64_t flatIndex) const
+arch::RunCost
+Explorer::engineRun(std::uint64_t flatIndex) const
 {
-    Evaluation e;
-    e.candidate = space_.candidate(flatIndex);
+    const Candidate cand = space_.candidate(flatIndex);
+    if (options_.engine == EngineKind::Inca)
+        return runOn<core::IncaEngine>(
+            materializeInca(space_, cand, options_.baseInca,
+                            options_.isoCapacity),
+            net_, options_.phase);
+    return runOn<baseline::BaselineEngine>(
+        materializeWs(space_, cand, options_.baseWs,
+                      options_.isoCapacity),
+        net_, options_.phase);
+}
 
-    int adcBits = 0;
-    if (options_.engine == EngineKind::Inca) {
-        const arch::IncaConfig cfg = materializeInca(
-            space_, e.candidate, options_.baseInca,
-            options_.isoCapacity);
-        adcBits = cfg.adcBits;
-        e.areaM2 = arch::incaArea(cfg).total();
-        e.idlePowerW = arch::incaIdlePower(cfg);
-        e.utilization =
-            arch::incaNetworkUtilization(net_, cfg.subarraySize);
-        e.accuracy = accuracyProxy(EngineKind::Inca, adcBits,
-                                   maxWindow_, options_.noiseSigma);
-        e.resilience = resilienceProxy(
-            EngineKind::Inca, adcBits, maxWindow_,
-            options_.noiseSigma, options_.faultBer,
-            cfg.activationBits, cfg.subarraySize,
-            options_.mitigation);
-        const ConstraintCheck check =
-            checkConstraints(options_.constraints, e,
-                             EngineKind::Inca, adcBits, maxWindow_);
-        if (!check.ok) {
-            e.feasible = false;
-            e.rejectedBy = check.reason;
-            if (!options_.softConstraints)
-                return e;
+std::vector<Evaluation>
+Explorer::evaluateWave(
+    const std::vector<std::uint64_t> &wave,
+    const std::unordered_map<std::uint64_t, Evaluation> &replay) const
+{
+    // Sort the proposals. A repeat of an index this wave misses waits
+    // until the miss is stored and then hits the memo, instead of
+    // racing it; with the memo off every proposal that is not
+    // replayed is a miss.
+    std::vector<Evaluation> evals(wave.size());
+    std::vector<std::size_t> misses, repeats;
+    std::unordered_set<std::uint64_t> missed;
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+        const std::uint64_t idx = wave[i];
+        const auto it = replay.find(idx);
+        if (it != replay.end()) {
+            evals[i] = it->second;
+            evals[i].candidate = space_.candidate(idx);
+            evals[i].reused = true;
+        } else if (cacheEnabled() && missed.count(idx) != 0) {
+            repeats.push_back(i);
+        } else if (!memo_.lookup(idx, evals[i])) {
+            missed.insert(idx);
+            misses.push_back(i);
         }
-        const core::IncaEngine engine(cfg);
-        e.run = options_.phase == arch::Phase::Training
-                    ? engine.training(net_, cfg.batchSize)
-                    : engine.inference(net_, cfg.batchSize);
-        if (wantTimed_)
-            scoreTimed(e, ir::lowerInca(cfg, net_, options_.phase,
-                                        cfg.batchSize,
-                                        {/*overlap=*/true}));
-    } else {
-        const arch::BaselineConfig cfg = materializeWs(
-            space_, e.candidate, options_.baseWs,
-            options_.isoCapacity);
-        adcBits = cfg.adcBits;
-        e.areaM2 = arch::baselineArea(cfg).total();
-        e.idlePowerW = arch::baselineIdlePower(cfg);
-        e.utilization =
-            arch::wsNetworkUtilization(net_, cfg.subarraySize);
-        e.accuracy = accuracyProxy(EngineKind::Ws, adcBits,
-                                   maxWindow_, options_.noiseSigma);
-        e.resilience = resilienceProxy(
-            EngineKind::Ws, adcBits, maxWindow_,
-            options_.noiseSigma, options_.faultBer,
-            cfg.activationBits, cfg.subarraySize,
-            options_.mitigation);
-        const ConstraintCheck check = checkConstraints(
-            options_.constraints, e, EngineKind::Ws, adcBits,
-            maxWindow_);
-        if (!check.ok) {
-            e.feasible = false;
-            e.rejectedBy = check.reason;
-            if (!options_.softConstraints)
-                return e;
-        }
-        const baseline::BaselineEngine engine(cfg);
-        e.run = options_.phase == arch::Phase::Training
-                    ? engine.training(net_, cfg.batchSize)
-                    : engine.inference(net_, cfg.batchSize);
-        if (wantTimed_)
-            scoreTimed(e, ir::lowerWs(cfg, net_, options_.phase,
-                                      cfg.batchSize,
-                                      {/*overlap=*/true}));
     }
 
+    std::vector<Scoring> scoring;
+    scoring.reserve(misses.size());
+    for (const std::size_t i : misses)
+        scoring.push_back(preScore(wave[i]));
+
+    // Every miss's parts as one flat set over the pool, big parts
+    // first: each candidate's part 0 (engine run and timed score),
+    // then the cost-table slots.
+    std::vector<std::pair<std::size_t, std::size_t>> parts;
+    for (std::size_t k = 0; k < scoring.size(); ++k)
+        if (scoring[k].parts() > 0)
+            parts.push_back({k, 0});
+    for (std::size_t k = 0; k < scoring.size(); ++k)
+        for (std::size_t p = 1; p < scoring[k].parts(); ++p)
+            parts.push_back({k, p});
+    parallel_for_each(
+        std::int64_t(parts.size()), 1, [&](std::int64_t j) {
+            const auto [k, p] = parts[std::size_t(j)];
+            Scoring &s = scoring[k];
+            if (p == 0) {
+                scoreEngine(s);
+                return;
+            }
+            trace::Span span(trace::spanName("dse.cost ", s.label));
+            const Clock::time_point t0 = Clock::now();
+            s.table->price(p - 1);
+            s.partS[p] = secondsSince(t0);
+        });
+    parallel_for_each(std::int64_t(scoring.size()), 1,
+                      [&](std::int64_t k) {
+                          finishScoring(scoring[std::size_t(k)]);
+                      });
+
+    metrics::Histogram &evalUs = metrics::histogram("dse.eval_us");
+    for (std::size_t k = 0; k < scoring.size(); ++k) {
+        const double seconds = scoring[k].seconds();
+        evalUs.observe(seconds * 1e6);
+        Evaluation &e = evals[misses[k]];
+        e = std::move(scoring[k].e);
+        memo_.insert(wave[misses[k]], e, seconds);
+    }
+    for (const std::size_t i : repeats) {
+        const bool hit = memo_.lookup(wave[i], evals[i]);
+        inca_assert(hit, "candidate %llu was scored but not memoized",
+                    static_cast<unsigned long long>(wave[i]));
+    }
+    return evals;
+}
+
+Explorer::Scoring
+Explorer::preScore(std::uint64_t flatIndex) const
+{
+    const Clock::time_point t0 = Clock::now();
+    Scoring s;
+    Evaluation &e = s.e;
+    e.candidate = space_.candidate(flatIndex);
+    if (trace::enabled())
+        s.label = space_.describe(e.candidate);
+    const EngineKind kind = options_.engine;
+    int adcBits = 0, activationBits = 0, arraySize = 0;
+    if (kind == EngineKind::Inca) {
+        s.inca = materializeInca(space_, e.candidate, options_.baseInca,
+                                 options_.isoCapacity);
+        const arch::IncaConfig &cfg = s.inca;
+        adcBits = cfg.adcBits;
+        activationBits = cfg.activationBits;
+        arraySize = cfg.subarraySize;
+        e.areaM2 = arch::incaArea(cfg).total();
+        e.idlePowerW = arch::incaIdlePower(cfg);
+        e.utilization = arch::incaNetworkUtilization(net_, arraySize);
+    } else {
+        s.ws = materializeWs(space_, e.candidate, options_.baseWs,
+                             options_.isoCapacity);
+        const arch::BaselineConfig &cfg = s.ws;
+        adcBits = cfg.adcBits;
+        activationBits = cfg.activationBits;
+        arraySize = cfg.subarraySize;
+        e.areaM2 = arch::baselineArea(cfg).total();
+        e.idlePowerW = arch::baselineIdlePower(cfg);
+        e.utilization = arch::wsNetworkUtilization(net_, arraySize);
+    }
+    e.accuracy =
+        accuracyProxy(kind, adcBits, maxWindow_, options_.noiseSigma);
+    e.resilience = resilienceProxy(
+        kind, adcBits, maxWindow_, options_.noiseSigma, options_.faultBer,
+        activationBits, arraySize, options_.mitigation);
+    const ConstraintCheck check = checkConstraints(
+        options_.constraints, e, kind, adcBits, maxWindow_);
+    if (!check.ok) {
+        e.feasible = false;
+        e.rejectedBy = check.reason;
+    }
+    // A hard rejection stops here: no engine run, no cost slot.
+    s.proceeds = check.ok || options_.softConstraints;
+    if (s.proceeds && wantServing_) {
+        s.spec = servingSpec(s);
+        s.table.emplace(s.spec);
+    }
+    s.partS.assign(1 + (s.table ? s.table->size() : 0), 0.0);
+    s.partS[0] = secondsSince(t0);
+    return s;
+}
+
+void
+Explorer::scoreEngine(Scoring &s) const
+{
+    trace::Span span(trace::spanName("dse.score ", s.label));
+    const Clock::time_point t0 = Clock::now();
+    Evaluation &e = s.e;
+    const bool inca = options_.engine == EngineKind::Inca;
+    const arch::RunCost run =
+        inca ? runOn<core::IncaEngine>(s.inca, net_, options_.phase)
+             : runOn<baseline::BaselineEngine>(s.ws, net_,
+                                               options_.phase);
+    if (wantTimed_)
+        scoreTimed(e, inca ? ir::lowerInca(s.inca, net_, options_.phase,
+                                           s.inca.batchSize,
+                                           {/*overlap=*/true})
+                           : ir::lowerWs(s.ws, net_, options_.phase,
+                                         s.ws.batchSize,
+                                         {/*overlap=*/true}));
     e.scored = true;
-    e.energyJ = e.run.energy();
-    e.latencyS = e.run.latency;
-    e.configKeyHash = e.run.configKeyHash;
+    e.energyJ = run.energy();
+    e.latencyS = run.latency;
+    e.configKeyHash = run.configKeyHash;
+    s.partS[0] += secondsSince(t0);
+}
+
+void
+Explorer::finishScoring(Scoring &s) const
+{
+    if (!s.proceeds)
+        return;
+    const Clock::time_point t0 = Clock::now();
+    Evaluation &e = s.e;
     if (wantServing_) {
-        scoreServing(e);
+        trace::Span span(trace::spanName("dse.serve ", s.label));
+        const serving::ServingReport rep =
+            serving::simulate(s.spec, *s.table);
+        e.p99LatencyS = rep.p99S;
+        e.goodputRps = rep.goodputRps;
+        e.energyPerRequestJ = rep.energyPerRequestJ;
+        e.availability = rep.availability;
+        e.shedFraction =
+            rep.offered ? double(rep.shed) / double(rep.offered) : 0.0;
         // The SLO ceiling can only be checked here: unlike the cheap
         // pre-scoring bounds, p99 exists only after the simulation.
         const double p99Ms = e.p99LatencyS * 1e3;
@@ -298,51 +463,49 @@ Explorer::score(std::uint64_t flatIndex) const
         }
     }
     orientObjectives(e, options_.objectives);
-    return e;
+    s.partS[0] += secondsSince(t0);
 }
 
-void
-Explorer::scoreServing(Evaluation &e) const
+serving::ServingSpec
+Explorer::servingSpec(const Scoring &s) const
 {
+    const Candidate &cand = s.e.candidate;
     serving::ServingSpec spec;
     spec.incaEngine = options_.engine == EngineKind::Inca;
     if (spec.incaEngine)
-        spec.inca =
-            materializeInca(space_, e.candidate, options_.baseInca,
-                            options_.isoCapacity);
+        spec.inca = s.inca;
     else
-        spec.ws = materializeWs(space_, e.candidate, options_.baseWs,
-                                options_.isoCapacity);
+        spec.ws = s.ws;
     spec.streams = {
         serving::StreamSpec{options_.network, 1.0, 0}};
-    const ExploreOptions::ServingScenario &s = options_.serving;
-    spec.arrivals = s.arrivals;
-    spec.durationS = s.durationS;
-    spec.shard = s.shard;
-    spec.batch = s.batch;
-    spec.sloS = s.sloS;
+    const ExploreOptions::ServingScenario &sc = options_.serving;
+    spec.arrivals = sc.arrivals;
+    spec.durationS = sc.durationS;
+    spec.shard = sc.shard;
+    spec.batch = sc.batch;
+    spec.sloS = sc.sloS;
     // Datacenter axes, when searched, override the fixed scenario.
-    spec.replicas = int(
-        space_.value(e.candidate, "replicas", s.replicas));
-    spec.batch.maxBatch = int(space_.value(
-        e.candidate, "serve_batch", s.batch.maxBatch));
+    spec.replicas =
+        int(space_.value(cand, "replicas", sc.replicas));
+    spec.batch.maxBatch = int(
+        space_.value(cand, "serve_batch", sc.batch.maxBatch));
     spec.shard.kind = serving::ShardKind(space_.value(
-        e.candidate, "shard", std::int64_t(s.shard.kind)));
-    spec.shard.chips = int(
-        space_.value(e.candidate, "shard_chips", s.shard.chips));
+        cand, "shard", std::int64_t(sc.shard.kind)));
+    spec.shard.chips =
+        int(space_.value(cand, "shard_chips", sc.shard.chips));
     // Chaos layer: scenario defaults, with the failure_mtbf axis
     // (milliseconds; 0 = injection off) overriding the MTBF.
-    spec.failures = s.failures;
-    spec.retry = s.retry;
-    spec.deadlineS = s.deadlineS;
-    spec.hedgeDelayS = s.hedgeDelayS;
-    spec.queueCap = s.queueCap;
+    spec.failures = sc.failures;
+    spec.retry = sc.retry;
+    spec.deadlineS = sc.deadlineS;
+    spec.hedgeDelayS = sc.hedgeDelayS;
+    spec.queueCap = sc.queueCap;
     bool haveMtbfAxis = false;
     for (const auto &axis : space_.axes())
         haveMtbfAxis = haveMtbfAxis || axis.name == "failure_mtbf";
     if (haveMtbfAxis) {
         const std::int64_t mtbfMs =
-            space_.value(e.candidate, "failure_mtbf", 0);
+            space_.value(cand, "failure_mtbf", 0);
         if (mtbfMs > 0) {
             spec.failures.enabled = true;
             spec.failures.mtbfS = double(mtbfMs) * 1e-3;
@@ -352,13 +515,7 @@ Explorer::scoreServing(Evaluation &e) const
             spec.failures.enabled = false;
         }
     }
-    const serving::ServingReport rep = serving::simulate(spec);
-    e.p99LatencyS = rep.p99S;
-    e.goodputRps = rep.goodputRps;
-    e.energyPerRequestJ = rep.energyPerRequestJ;
-    e.availability = rep.availability;
-    e.shedFraction =
-        rep.offered ? double(rep.shed) / double(rep.offered) : 0.0;
+    return spec;
 }
 
 ExploreResult
@@ -406,7 +563,6 @@ Explorer::run()
     auto &filteredCtr = metrics::counter("dse.filtered");
     auto &reusedCtr = metrics::counter("dse.reused");
     auto &frontierGauge = metrics::gauge("dse.frontier");
-    auto &evalHist = metrics::histogram("dse.eval_us");
 
     std::uint64_t remaining =
         options_.budget ? options_.budget : ~std::uint64_t(0);
@@ -418,41 +574,8 @@ Explorer::run()
         if (wave.empty())
             break;
 
-        // Fan the wave out; each slot is a pure function of its
-        // candidate index, so contents are scheduling-independent. A
-        // repeat of an index seen earlier in the wave waits for the
-        // serial pass, where it hits the memo instead of racing the
-        // first occurrence's miss.
-        std::vector<Evaluation> evals(wave.size());
-        std::vector<char> repeat(wave.size(), 0);
-        if (cacheEnabled()) {
-            std::unordered_set<std::uint64_t> seen;
-            for (std::size_t i = 0; i < wave.size(); ++i)
-                repeat[i] = !seen.insert(wave[i]).second;
-        }
-        const auto fill = [&](std::size_t i) {
-            const std::uint64_t idx = wave[i];
-            const auto it = replay.find(idx);
-            if (it != replay.end()) {
-                Evaluation e = it->second;
-                e.candidate = space_.candidate(idx);
-                e.reused = true;
-                evals[i] = std::move(e);
-                return;
-            }
-            trace::Span span(trace::spanName(
-                "dse.eval ", space_.describe(space_.candidate(idx))));
-            metrics::ScopedTimer timer(evalHist);
-            evals[i] = evaluate(idx);
-        };
-        parallel_for_each(std::int64_t(wave.size()), 1,
-                          [&](std::int64_t i) {
-                              if (!repeat[std::size_t(i)])
-                                  fill(std::size_t(i));
-                          });
-        for (std::size_t i = 0; i < wave.size(); ++i)
-            if (repeat[i])
-                fill(i);
+        const std::vector<Evaluation> evals =
+            evaluateWave(wave, replay);
 
         // Everything order-sensitive happens serially, in proposal
         // order: journal, counters, frontier, strategy feedback.
@@ -614,16 +737,16 @@ exportFrontierRuns(const Explorer &explorer,
                    const std::string &prefix)
 {
     for (const Evaluation &point : result.frontier) {
-        // Re-score: pure and memo-backed, and it restores the full
-        // per-layer RunCost a journal-replayed point does not carry.
-        const Evaluation e = explorer.evaluate(point.candidate.index);
-        inca_assert(e.scored, "frontier member %llu failed to score",
-                    static_cast<unsigned long long>(
-                        point.candidate.index));
-        const std::string base =
-            prefix + "-" + std::to_string(point.candidate.index);
-        sim::writeFile(base + ".csv", sim::toCsv(e.run));
-        sim::writeFile(base + ".json", sim::toJson(e.run));
+        const std::uint64_t idx = point.candidate.index;
+        // Re-score (pure, memo-backed): a journal-replayed point
+        // must still score before its run is written.
+        inca_assert(explorer.evaluate(idx).scored,
+                    "frontier member %llu failed to score",
+                    static_cast<unsigned long long>(idx));
+        const arch::RunCost run = explorer.engineRun(idx);
+        const std::string base = prefix + "-" + std::to_string(idx);
+        sim::writeFile(base + ".csv", sim::toCsv(run));
+        sim::writeFile(base + ".json", sim::toJson(run));
     }
 }
 

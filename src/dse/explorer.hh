@@ -3,20 +3,34 @@
  * The exploration driver: strategy stream -> parallel evaluation ->
  * constraint filter -> Pareto reduction -> journal.
  *
- * Explorer::run() consumes candidate waves from the strategy. Inside
- * a wave, evaluation fans out across the global ThreadPool into
- * pre-sized result slots -- evaluation is a pure function of
- * (space, options, candidate index), so slot contents never depend on
- * scheduling. That purity is also what the Explorer's memo rests on:
- * evaluate() stores each scored Evaluation by candidate index, and a
- * re-proposed candidate (annealing revisits states; frontier exports
- * re-score members) gets the stored copy. run() holds back repeats
- * within a wave until the first occurrence is stored, so every
+ * Explorer::run() consumes candidate waves from the strategy. A
+ * wave's proposals are journal replays, memo hits, or misses; only
+ * the misses are scored. Scoring is a pure function of (space,
+ * options, candidate index), split into parts that each write their
+ * own slot:
+ *  - a cheap pre-score on the caller (chip, area, power, utilization,
+ *    proxies, constraints); a hard constraint rejection stops here;
+ *  - part 0, the engine run plus the timed score, and one part per
+ *    serving cost-table slot. All of the wave's parts go to the
+ *    ThreadPool as one flat set, big parts first, so a wave with one
+ *    miss still fills the pool;
+ *  - a finishing pass per candidate: the serving loop on its priced
+ *    table, the post-simulation checks, objective orientation.
+ * Slot contents never depend on scheduling. That purity is also what
+ * the Explorer's memo rests on: each scored Evaluation is stored by
+ * candidate index with its scoring time (the sum of its parts), and
+ * a re-proposed candidate (annealing revisits states; frontier
+ * exports re-score members) gets the stored copy. A repeat within a
+ * wave reads the memo once the first occurrence is stored, so every
  * distinct candidate is scored exactly once per run at any thread
- * count. Everything order-sensitive (journal append, frontier
+ * count; with the memo off every proposal that is not replayed is
+ * scored. Everything order-sensitive (journal append, frontier
  * insert, metrics, strategy feedback) runs serially in proposal
  * order afterwards. The combination makes the full result, exports
  * included, bit-identical at any thread count.
+ *
+ * Evaluations carry scalars only; engineRun() recomputes a
+ * candidate's per-layer run for exportFrontierRuns.
  *
  * Checkpoint/resume: every completed evaluation is appended to a
  * JSONL journal (when a path is given). A resumed run replays the
@@ -30,6 +44,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/config.hh"
@@ -167,21 +182,47 @@ class Explorer
     const ExploreOptions &options() const { return options_; }
 
     /**
-     * Evaluate one candidate index: what run() fans out, and how
-     * exportFrontierRuns re-scores frontier members. Returns the
-     * memo's copy when this Explorer has already scored the index.
+     * Evaluate one candidate index: run()'s scoring routine on a
+     * one-proposal wave, and how exportFrontierRuns re-scores
+     * frontier members. Returns the memo's copy when this Explorer
+     * has already scored the index.
      */
     Evaluation evaluate(std::uint64_t flatIndex) const;
+
+    /**
+     * The engine run behind candidate @p flatIndex's energy and
+     * latency, per-layer rows included: the same engine call scoring
+     * makes, recomputed (an Evaluation keeps only its scalars). What
+     * exportFrontierRuns writes per frontier member.
+     */
+    arch::RunCost engineRun(std::uint64_t flatIndex) const;
 
     /** This Explorer's "dse.eval" memo counters. */
     CacheStatsSnapshot memoStats() const { return memo_.stats(); }
 
   private:
-    /** Score one candidate from scratch (what the memo stores). */
-    Evaluation score(std::uint64_t flatIndex) const;
+    struct Scoring;
 
-    /** Serving-simulate one scored candidate (fills p99/goodput/epr). */
-    void scoreServing(Evaluation &e) const;
+    /**
+     * Evaluate one wave (see file comment): journal replays from
+     * @p replay, memo hits, and every miss scored in one fan-out.
+     * The one scoring routine behind run() and evaluate().
+     */
+    std::vector<Evaluation> evaluateWave(
+        const std::vector<std::uint64_t> &wave,
+        const std::unordered_map<std::uint64_t, Evaluation> &replay) const;
+
+    /** Scoring state of one miss after its cheap pre-score. */
+    Scoring preScore(std::uint64_t flatIndex) const;
+
+    /** Part 0: the engine run and the timed score. */
+    void scoreEngine(Scoring &s) const;
+
+    /** The serving loop, post-simulation checks and orientation. */
+    void finishScoring(Scoring &s) const;
+
+    /** The serving spec candidate @p s is simulated under. */
+    serving::ServingSpec servingSpec(const Scoring &s) const;
 
     /**
      * True when the serving scenario has any chaos feature active
@@ -222,10 +263,11 @@ std::string frontierJson(const Explorer &explorer,
                          const ExploreResult &result);
 
 /**
- * Re-score every frontier member and write per-run sim::toCsv /
- * sim::toJson files named <prefix>-<index>.{csv,json}. Re-scoring is
- * pure (and served from the memo after a run), so this works
- * identically for resumed runs whose journal carried only scalars.
+ * Re-score every frontier member (served from the memo after a run)
+ * and write its engine run (Explorer::engineRun) as sim::toCsv /
+ * sim::toJson files named <prefix>-<index>.{csv,json}. Both are pure,
+ * so this works identically for resumed runs whose journal carried
+ * only scalars.
  */
 void exportFrontierRuns(const Explorer &explorer,
                         const ExploreResult &result,

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/cost.hh"
 #include "dse/space.hh"
 #include "nn/network.hh"
 #include "reliability/mitigation.hh"
@@ -134,13 +133,6 @@ struct Evaluation
      * vector dominance compares. Empty when not scored.
      */
     std::vector<double> objectives;
-
-    /**
-     * Full per-layer cost of the scoring run. Only populated for
-     * points scored in-process (empty when replayed from a journal);
-     * presentation-only, never part of the dominance comparison.
-     */
-    arch::RunCost run;
 
     /** Natural (un-negated) value of one objective. */
     double value(Objective o) const;

@@ -148,10 +148,55 @@ exactPercentile(std::vector<double> samples, double q)
     return nearestRank(samples, q);
 }
 
+CostTable::CostTable(const ServingSpec &spec)
+    : model_(spec.incaEngine ? BatchCostModel(spec.inca, spec.shard)
+                             : BatchCostModel(spec.ws, spec.shard)),
+      maxBatch_(spec.batch.maxBatch)
+{
+    inca_assert(maxBatch_ >= 1, "batch cap must be at least 1");
+    nets_.reserve(spec.streams.size());
+    for (const StreamSpec &s : spec.streams)
+        nets_.push_back(nn::byName(s.network));
+    costs_.resize(nets_.size() * std::size_t(maxBatch_));
+}
+
+void
+CostTable::price(std::size_t slot)
+{
+    inca_assert(slot < costs_.size(), "cost slot %zu outside [0, %zu)",
+                slot, costs_.size());
+    costs_[slot] = model_.cost(nets_[slot / std::size_t(maxBatch_)],
+                               int(slot % std::size_t(maxBatch_)) + 1);
+}
+
 ServingReport
 simulate(const ServingSpec &spec)
 {
     validateSpec(spec);
+    // The cost table is the only parallel phase: each slot is a pure
+    // cost-model call into its own element, so the fan-out is
+    // scheduling-independent and the serial loop never computes a
+    // cost itself.
+    CostTable table(spec);
+    parallel_for_each(std::int64_t(table.size()), 1,
+                      [&](std::int64_t i) { table.price(std::size_t(i)); });
+    return simulate(spec, table);
+}
+
+ServingReport
+simulate(const ServingSpec &spec, const CostTable &table)
+{
+    validateSpec(spec);
+    const int maxBatch = spec.batch.maxBatch;
+    inca_assert(table.size() ==
+                    spec.streams.size() * std::size_t(maxBatch),
+                "cost table has %zu slots, the spec needs %zu",
+                table.size(), spec.streams.size() * std::size_t(maxBatch));
+    for (std::size_t s = 0; s < spec.streams.size(); ++s)
+        for (int b = 1; b <= maxBatch; ++b)
+            inca_assert(table.cost(int(s), b).latencyS > 0.0,
+                        "cost slot of stream %zu, batch %d is unpriced",
+                        s, b);
     ServingReport rep;
     rep.spec = spec;
 
@@ -181,34 +226,6 @@ simulate(const ServingSpec &spec)
         }
         r.stream = stream;
     }
-
-    // ---- Cost table: the only parallel phase. --------------------
-    // One slot per (stream, batch size); each slot is a pure
-    // cost-model call, so the fan-out is scheduling-independent and
-    // the serial loop below never computes a cost itself.
-    const BatchCostModel model =
-        spec.incaEngine ? BatchCostModel(spec.inca, spec.shard)
-                        : BatchCostModel(spec.ws, spec.shard);
-    std::vector<nn::NetworkDesc> nets;
-    nets.reserve(spec.streams.size());
-    for (const StreamSpec &s : spec.streams)
-        nets.push_back(nn::byName(s.network));
-    const int maxBatch = spec.batch.maxBatch;
-    std::vector<BatchCost> table(spec.streams.size() *
-                                 std::size_t(maxBatch));
-    parallel_for_each(
-        std::int64_t(table.size()), 1, [&](std::int64_t i) {
-            const std::size_t stream =
-                std::size_t(i) / std::size_t(maxBatch);
-            const int batch = int(std::size_t(i) %
-                                  std::size_t(maxBatch)) +
-                              1;
-            table[std::size_t(i)] = model.cost(nets[stream], batch);
-        });
-    const auto costOf = [&](int stream, int batch) -> const BatchCost & {
-        return table[std::size_t(stream) * std::size_t(maxBatch) +
-                     std::size_t(batch - 1)];
-    };
 
     // ---- Serial virtual-time event loop. -------------------------
     const bool failuresOn = spec.failures.enabled;
@@ -366,7 +383,7 @@ simulate(const ServingSpec &spec)
     const auto dispatchLeg = [&](Batch &b, int srv, Seconds now) {
         Server &server = servers[std::size_t(srv)];
         const BatchCost &cost =
-            costOf(b.stream, int(b.reqs.size()));
+            table.cost(b.stream, int(b.reqs.size()));
         Seconds latency = cost.latencyS;
         Seconds interval = cost.intervalS;
         if (server.health == Health::Degraded) {
@@ -777,7 +794,7 @@ simulate(const ServingSpec &spec)
     }
     rep.utilization =
         servers.empty() ? 0.0 : busySum / double(servers.size());
-    rep.staticEnergyJ = model.idlePowerPerServer() *
+    rep.staticEnergyJ = table.model().idlePowerPerServer() *
                         double(spec.replicas) * rep.makespanS;
     rep.energyJ = rep.dynamicEnergyJ + rep.staticEnergyJ;
     rep.energyPerRequestJ =

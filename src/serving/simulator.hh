@@ -9,8 +9,9 @@
  * Wall-clock time never enters, so a simulation is a pure function of
  * its spec: bit-identical at any thread count. The only parallel
  * phase is the pre-computation of the (stream, batch size) cost
- * table, which fans out pure cost-model calls into pre-sized slots
- * before the serial event loop runs.
+ * table (CostTable), which fans out pure cost-model calls into
+ * pre-sized slots before the serial event loop runs. A caller that
+ * schedules the slots itself prices them and passes the table in.
  *
  * Scheduling policy: one FIFO queue per stream. A stream becomes
  * dispatchable when its queue reaches the batch-size cap or its head
@@ -231,8 +232,53 @@ struct ServingReport
  */
 double exactPercentile(std::vector<double> samples, double q);
 
-/** Run one simulation (pure; see file comment). */
+/**
+ * A spec's (stream, batch size) cost table: one slot per stream and
+ * batch size 1..maxBatch, stream-major, so slot
+ * stream * maxBatch + batch - 1 holds the cost of a batch of that
+ * size from that stream. Each slot is one pure cost-model call, and
+ * price() writes only its own slot, so distinct slots may be priced
+ * concurrently in any order and the table comes out the same.
+ */
+class CostTable
+{
+  public:
+    explicit CostTable(const ServingSpec &spec);
+
+    /** Slots in the table (streams x maxBatch). */
+    std::size_t size() const { return costs_.size(); }
+
+    /** Price slot @p slot. */
+    void price(std::size_t slot);
+
+    /** The priced cost of a @p batch -request batch of @p stream. */
+    const BatchCost &cost(int stream, int batch) const
+    {
+        return costs_[std::size_t(stream) * std::size_t(maxBatch_) +
+                      std::size_t(batch - 1)];
+    }
+
+    const BatchCostModel &model() const { return model_; }
+
+  private:
+    BatchCostModel model_;
+    std::vector<nn::NetworkDesc> nets_; ///< one per stream
+    int maxBatch_;
+    std::vector<BatchCost> costs_;
+};
+
+/**
+ * Run one simulation (pure; see file comment), pricing its cost
+ * table across the pool first.
+ */
 ServingReport simulate(const ServingSpec &spec);
+
+/**
+ * Run one simulation on @p table, built from @p spec and priced in
+ * every slot: simulate(spec) without its pricing phase, and
+ * bit-identical to it.
+ */
+ServingReport simulate(const ServingSpec &spec, const CostTable &table);
 
 } // namespace serving
 } // namespace inca

@@ -2,12 +2,12 @@
  * @file
  * The evaluation memo's correctness contract, tested differentially:
  * the Explorer's "dse.eval" memo must leave every explore output
- * (evaluations, frontier JSON/CSV, journal) byte-identical with
- * memoization on or off at every thread count, because a hit returns
- * a copy of a value computed by the exact same arithmetic. Plus the
- * mechanics that contract rests on: one miss per distinct candidate,
- * per-Explorer counters, canonical keys, and the INCA_CACHE switch
- * parsing.
+ * (evaluations, frontier JSON/CSV, journal, exported per-layer runs)
+ * byte-identical with memoization on or off at every thread count,
+ * because a hit returns a copy of a value computed by the exact same
+ * arithmetic. Plus the mechanics that contract rests on: one miss per
+ * distinct candidate with its scoring time, per-Explorer counters,
+ * canonical keys, and the INCA_CACHE switch parsing.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "arch/config.hh"
 #include "common/cache.hh"
+#include "common/metrics.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "dse/explorer.hh"
@@ -55,6 +56,18 @@ memoOptions(const std::string &journalPath = "")
 }
 
 /**
+ * memoOptions() scored under serving too: every miss also prices an
+ * 8-slot cost table and simulates the default traffic.
+ */
+dse::ExploreOptions
+servingMemoOptions()
+{
+    dse::ExploreOptions opt = memoOptions();
+    opt.objectives = dse::objectivesByNames("energy,p99_latency");
+    return opt;
+}
+
+/**
  * Every number of every evaluation, rendered with full double
  * precision. Byte-equality of two transcripts is bit-equality of two
  * evaluation streams.
@@ -73,18 +86,10 @@ transcript(const std::vector<dse::Evaluation> &evals)
            << e.reused << " [" << e.rejectedBy << "] ";
         for (const double v :
              {e.areaM2, e.idlePowerW, e.utilization, e.accuracy,
-              e.resilience, e.energyJ, e.latencyS, e.run.latency,
-              e.run.staticEnergy})
+              e.resilience, e.energyJ, e.latencyS})
             num(v);
         for (const double v : e.objectives)
             num(v);
-        for (const auto &layer : e.run.layers) {
-            os << layer.name << ":";
-            for (const auto &[stat, value] : layer.stats.entries()) {
-                os << stat << "=";
-                num(value);
-            }
-        }
         os << e.configKeyHash << "\n";
     }
     return os.str();
@@ -99,19 +104,34 @@ slurp(const std::string &path)
     return os.str();
 }
 
-/** Every explore output of one memoOptions() run, concatenated. */
+/**
+ * Every explore output of one memoOptions() run, concatenated: the
+ * evaluations, the frontier exports, the journal, and each frontier
+ * member's exported per-layer run.
+ */
 std::string
 exploreOutputs(const std::string &journalPath)
 {
     dse::Explorer explorer(memoSpace(), memoOptions(journalPath));
     const dse::ExploreResult result = explorer.run();
-    return transcript(result.evaluations) + "--\n" +
-           testutil::withoutProvenance(
-               dse::frontierJson(explorer, result)) +
-           "--\n" +
-           dse::frontierCsv(explorer.space(), result.frontier,
-                            explorer.options().objectives) +
-           "--\n" + slurp(journalPath);
+    std::string out =
+        transcript(result.evaluations) + "--\n" +
+        testutil::withoutProvenance(dse::frontierJson(explorer, result)) +
+        "--\n" +
+        dse::frontierCsv(explorer.space(), result.frontier,
+                         explorer.options().objectives) +
+        "--\n" + slurp(journalPath);
+    const std::string prefix = ::testing::TempDir() + "/memo_runs";
+    dse::exportFrontierRuns(explorer, result, prefix);
+    for (const dse::Evaluation &e : result.frontier) {
+        const std::string base =
+            prefix + "-" + std::to_string(e.candidate.index);
+        out += "--\n" + slurp(base + ".csv") +
+               testutil::withoutProvenance(slurp(base + ".json"));
+        std::remove((base + ".csv").c_str());
+        std::remove((base + ".json").c_str());
+    }
+    return out;
 }
 
 std::uint64_t
@@ -178,32 +198,48 @@ TEST_F(EvalCacheTest, CachedSweepIsByteIdenticalAtEveryThreadCount)
 
 TEST_F(EvalCacheTest, RepeatedRunsHitTheCache)
 {
-    for (const int threads : {1, 2, 8}) {
-        SCOPED_TRACE(threads);
-        ThreadPool::setGlobalThreads(threads);
-        clearAllCaches();
-        std::uint64_t proposals = 0, distinct = 0;
-        {
-            dse::Explorer explorer(memoSpace(), memoOptions());
-            const dse::ExploreResult result = explorer.run();
-            proposals = result.evaluations.size();
-            distinct = distinctProposals(result);
-            // The anneal revisits states, or this test proves nothing.
-            ASSERT_LT(distinct, proposals);
-            // Memo hits are still scored, non-replayed proposals.
-            EXPECT_EQ(result.scored, proposals);
-            EXPECT_EQ(result.reused, 0u);
+    // The second spec's misses have cost-slot parts too; the counts
+    // must not move.
+    const metrics::Histogram &evalUs = metrics::histogram("dse.eval_us");
+    for (const dse::ExploreOptions &opt :
+         {memoOptions(), servingMemoOptions()}) {
+        for (const int threads : {1, 2, 8}) {
+            SCOPED_TRACE(threads);
+            ThreadPool::setGlobalThreads(threads);
+            clearAllCaches();
+            const std::uint64_t samples0 = evalUs.count();
+            const double sum0 = evalUs.sum();
+            std::uint64_t proposals = 0, distinct = 0;
+            {
+                dse::Explorer explorer(memoSpace(), opt);
+                const dse::ExploreResult result = explorer.run();
+                proposals = result.evaluations.size();
+                distinct = distinctProposals(result);
+                // The anneal revisits states, or this test proves
+                // nothing.
+                ASSERT_LT(distinct, proposals);
+                // Memo hits are still scored, non-replayed proposals.
+                EXPECT_EQ(result.scored, proposals);
+                EXPECT_EQ(result.reused, 0u);
 
-            const CacheStatsSnapshot s = explorer.memoStats();
-            EXPECT_EQ(s.name, "dse.eval");
+                const CacheStatsSnapshot s = explorer.memoStats();
+                EXPECT_EQ(s.name, "dse.eval");
+                EXPECT_EQ(s.misses, distinct);
+                EXPECT_EQ(s.hits, proposals - distinct);
+                EXPECT_EQ(s.entries, distinct);
+                // Each miss is recorded with its scoring time, and
+                // dse.eval_us holds one sample of that time per miss.
+                EXPECT_GT(s.missSeconds, 0.0);
+                EXPECT_EQ(evalUs.count() - samples0, distinct);
+                EXPECT_NEAR((evalUs.sum() - sum0) * 1e-6, s.missSeconds,
+                            1e-9 + 1e-9 * s.missSeconds);
+            }
+            // The Explorer is gone; the process report still has its
+            // memo.
+            const CacheStatsSnapshot s = processMemoStats();
             EXPECT_EQ(s.misses, distinct);
             EXPECT_EQ(s.hits, proposals - distinct);
-            EXPECT_EQ(s.entries, distinct);
         }
-        // The Explorer is gone; the process report still has its memo.
-        const CacheStatsSnapshot s = processMemoStats();
-        EXPECT_EQ(s.misses, distinct);
-        EXPECT_EQ(s.hits, proposals - distinct);
     }
 }
 
@@ -228,38 +264,95 @@ TEST_F(EvalCacheTest, TracedRunEmitsMemoCounterEvents)
     EXPECT_EQ(counters.count("cache.dse.eval.misses"), 1u);
 }
 
+TEST_F(EvalCacheTest, TracedPartsNameTheirCandidate)
+{
+    // Each scored miss shows its parts as spans naming the candidate;
+    // a candidate a hard constraint rejects (lossless_adc: a 4-bit
+    // ADC clips lenet5's 5x5 windows) stops at the pre-score, so no
+    // engine-run or cost-slot span names it.
+    dse::ExploreOptions opt = servingMemoOptions();
+    opt.constraints.set("lossless_adc=1");
+    trace::clear();
+    trace::start("");
+    dse::ExploreResult result;
+    std::string rejected, scored;
+    {
+        dse::Explorer explorer(memoSpace(), opt);
+        result = explorer.run();
+        for (const dse::Evaluation &e : result.evaluations) {
+            const std::string name = explorer.space().describe(e.candidate);
+            (e.scored ? scored : rejected) = name;
+        }
+    }
+    const std::vector<trace::Event> events = trace::snapshot();
+    trace::stop();
+    trace::clear();
+    ASSERT_FALSE(rejected.empty());
+    ASSERT_FALSE(scored.empty());
+    std::multiset<std::string> spans;
+    for (const trace::Event &e : events)
+        if (e.ph == 'X')
+            spans.insert(e.name);
+    EXPECT_EQ(spans.count("dse.score " + rejected), 0u);
+    EXPECT_EQ(spans.count("dse.cost " + rejected), 0u);
+    EXPECT_EQ(spans.count("dse.serve " + rejected), 0u);
+    // Scored once (a memo miss): one engine part, 8 cost slots, one
+    // serving pass.
+    EXPECT_EQ(spans.count("dse.score " + scored), 1u);
+    EXPECT_EQ(spans.count("dse.cost " + scored), 8u);
+    EXPECT_EQ(spans.count("dse.serve " + scored), 1u);
+}
+
 TEST_F(EvalCacheTest, DisabledCacheComputesEveryTime)
 {
     setCacheEnabled(false);
     EvalCache<int> cache("test.disabled");
-    int calls = 0;
-    for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(cache.getOrCompute(7, [&] { return ++calls; }), i + 1);
-    EXPECT_EQ(calls, 3);
+    for (int i = 0; i < 3; ++i) {
+        int out = -1;
+        EXPECT_FALSE(cache.lookup(7, out));
+        EXPECT_EQ(out, -1);
+        cache.insert(7, i, 1.0);
+    }
     const auto s = cache.stats();
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.entries, 0u);
 
     // The Explorer's memo records nothing either: every proposal is
-    // scored from scratch.
+    // scored from scratch, and each is one dse.eval_us sample.
+    const metrics::Histogram &evalUs = metrics::histogram("dse.eval_us");
+    const std::uint64_t samples0 = evalUs.count();
     dse::Explorer explorer(memoSpace(), memoOptions());
     EXPECT_EQ(explorer.run().scored, 48u);
     EXPECT_EQ(explorer.memoStats().hits + explorer.memoStats().misses,
               0u);
+    EXPECT_EQ(evalUs.count() - samples0, 48u);
 }
 
 TEST_F(EvalCacheTest, ClearResetsEntriesAndCounters)
 {
     EvalCache<int> cache("test.clear");
-    (void)cache.getOrCompute(1, [] { return 1; });
-    (void)cache.getOrCompute(1, [] { return 1; });
+    int out = 0;
+    EXPECT_FALSE(cache.lookup(1, out));
+    cache.insert(1, 1, 0.5);
+    EXPECT_TRUE(cache.lookup(1, out));
+    EXPECT_EQ(out, 1);
+    // The first insert of a key wins; a second one still counts.
+    cache.insert(1, 3, 0.25);
+    EXPECT_TRUE(cache.lookup(1, out));
+    EXPECT_EQ(out, 1);
+    auto s = cache.stats();
+    EXPECT_EQ(s.hits, 2u);
+    EXPECT_EQ(s.misses, 2u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.missSeconds, 0.75);
     cache.clear();
-    const auto s = cache.stats();
+    s = cache.stats();
     EXPECT_EQ(s.hits, 0u);
     EXPECT_EQ(s.misses, 0u);
     EXPECT_EQ(s.entries, 0u);
-    EXPECT_EQ(cache.getOrCompute(1, [] { return 2; }), 2);
+    EXPECT_EQ(s.missSeconds, 0.0);
+    EXPECT_FALSE(cache.lookup(1, out));
 }
 
 TEST_F(EvalCacheTest, ExportFrontierRunsHitsTheMemo)

@@ -230,7 +230,8 @@ sweepDriverResults()
         dse::Explorer explorer(space, options);
         for (const dse::Evaluation &e : explorer.run().evaluations)
             out += dse::evalToJsonLine(e) +
-                   testutil::withoutProvenance(sim::toJson(e.run));
+                   testutil::withoutProvenance(sim::toJson(
+                       explorer.engineRun(e.candidate.index)));
     };
     dse::ExploreOptions planeOpt = testutil::designSpaceOptions();
     planeOpt.isoCapacity = true;
