@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,6 +24,7 @@
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
+#include "driver_specs.hh"
 #include "dse/explorer.hh"
 #include "json_lint.hh"
 #include "test_fixtures.hh"
@@ -95,15 +95,6 @@ transcript(const std::vector<dse::Evaluation> &evals)
     return os.str();
 }
 
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
 /**
  * Every explore output of one memoOptions() run, concatenated: the
  * evaluations, the frontier exports, the journal, and each frontier
@@ -120,14 +111,14 @@ exploreOutputs(const std::string &journalPath)
         "--\n" +
         dse::frontierCsv(explorer.space(), result.frontier,
                          explorer.options().objectives) +
-        "--\n" + slurp(journalPath);
+        "--\n" + testutil::slurp(journalPath);
     const std::string prefix = ::testing::TempDir() + "/memo_runs";
     dse::exportFrontierRuns(explorer, result, prefix);
     for (const dse::Evaluation &e : result.frontier) {
         const std::string base =
             prefix + "-" + std::to_string(e.candidate.index);
-        out += "--\n" + slurp(base + ".csv") +
-               testutil::withoutProvenance(slurp(base + ".json"));
+        out += "--\n" + testutil::slurp(base + ".csv") +
+               testutil::withoutProvenance(testutil::slurp(base + ".json"));
         std::remove((base + ".csv").c_str());
         std::remove((base + ".json").c_str());
     }
