@@ -17,12 +17,15 @@
 #include "common/env.hh"
 #include "common/export_util.hh"
 #include "common/random.hh"
+#include "driver_specs.hh"
 #include "event/event.hh"
 #include "inca/engine.hh"
 #include "ir/lower.hh"
 #include "json_lint.hh"
 #include "nn/model_zoo.hh"
+#include "reliability/mitigation.hh"
 #include "sim/export.hh"
+#include "test_fixtures.hh"
 
 namespace inca {
 namespace sim {
@@ -202,6 +205,75 @@ TEST(ExportJson, TimelineEventRunCarriesBackendAndProvenance)
           "\"layers\": [\n    {\"name\": "})
         EXPECT_NE(json.find(member), std::string::npos) << member;
     EXPECT_NE(run.configKeyHash, 0u);
+}
+
+TEST(ExportRows, PerLayerStatRowsMatchThePinnedDigests)
+{
+    // Every stat of every layer, as toCsv and as toJson without
+    // provenance, pinned across commits for the paper points at the
+    // paper batch. Both backends print the same bytes: with overlap
+    // off the event schedule folds to the analytic walk.
+    struct Pinned
+    {
+        const char *network;
+        bool inca;
+        arch::Phase phase;
+        std::uint64_t csv, json;
+    };
+    constexpr arch::Phase kInf = arch::Phase::Inference;
+    constexpr arch::Phase kTrn = arch::Phase::Training;
+    const Pinned cases[] = {
+        {"vgg16", true, kInf, 0xb802e15295affb0cULL,
+         0xf557cb899de685dfULL},
+        {"vgg16", true, kTrn, 0x1b93efd21f86f619ULL,
+         0x496baa4d2ffb72d8ULL},
+        {"vgg16", false, kInf, 0x97300cba8a3e9fa8ULL,
+         0x56fb4a69df6bfca8ULL},
+        {"vgg16", false, kTrn, 0xafb023dca1cb2af6ULL,
+         0x3e93944c918a8ab8ULL},
+        {"resnet18", true, kInf, 0x4dffb98afb15b5b1ULL,
+         0x816d635f06dbe8beULL},
+        {"resnet18", true, kTrn, 0x10568092b0cc7e42ULL,
+         0x0377414372818252ULL},
+        {"resnet18", false, kInf, 0x4131482935e4ccaeULL,
+         0xf12c6a3922f79314ULL},
+        {"resnet18", false, kTrn, 0xc3bf3c9eaffa4303ULL,
+         0xc671c925f5a90e2dULL},
+    };
+    for (const Pinned &c : cases) {
+        const nn::NetworkDesc net = nn::byName(c.network);
+        for (const testing::Backend b : testing::eachBackend()) {
+            SCOPED_TRACE(std::string(c.network) +
+                         (c.inca ? " inca " : " ws ") +
+                         (c.phase == kTrn ? "training " : "inference ") +
+                         testing::backendName(b));
+            const arch::RunCost run =
+                c.inca ? testing::runInca(b, arch::paperInca(), net,
+                                          c.phase, 64)
+                       : testing::runBaseline(b, arch::paperBaseline(),
+                                              net, c.phase, 64);
+            EXPECT_EQ(testutil::fnv1a(toCsv(run)), c.csv);
+            EXPECT_EQ(
+                testutil::fnv1a(testutil::withoutProvenance(toJson(run))),
+                c.json);
+        }
+    }
+
+    // Write-verify itemizes its surcharge as the three reliability
+    // stats on every layer that writes its arrays.
+    const arch::IncaConfig cfg = arch::paperInca();
+    arch::RunCost run =
+        core::IncaEngine(cfg).inference(nn::resnet18(), 64);
+    reliability::MitigationSpec spec;
+    spec.writeVerifyRetries = 2;
+    reliability::applyWriteVerify(run, spec, 1e-3, 1e-4, cfg.device,
+                                  double(cfg.org.totalSubarrays()));
+    EXPECT_NE(toCsv(run).find(",count.reliability.extra_pulse,"
+                              "count.reliability.verify_read,"),
+              std::string::npos);
+    EXPECT_EQ(testutil::fnv1a(toCsv(run)), 0x3f4a3e342e1bc1deULL);
+    EXPECT_EQ(testutil::fnv1a(testutil::withoutProvenance(toJson(run))),
+              0xdcf9b9b80db86c27ULL);
 }
 
 TEST(ExportJson, TrainingPhaseLabel)

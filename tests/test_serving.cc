@@ -4,9 +4,10 @@
  * queue's pop order under exact ties, virtual-time scheduling
  * invariants (Little's law, FIFO within priority),
  * bit-identity of the full report across thread counts and cache
- * settings, p99 scaling with replicas, exact percentiles (simulator
- * and metrics histogram), strict CLI parsers, and the DSE bridge
- * (journal round-trip, max_p99_ms end-to-end).
+ * settings and against pinned digests, p99 scaling with replicas,
+ * exact percentiles (simulator and metrics histogram), strict CLI
+ * parsers, and the DSE bridge (journal round-trip, max_p99_ms
+ * end-to-end).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "common/random.hh"
 #include "dse/explorer.hh"
 #include "dse/journal.hh"
+#include "driver_specs.hh"
 #include "examples/cli.hh"
 #include "json_lint.hh"
 #include "serving/event_queue.hh"
@@ -407,6 +409,82 @@ TEST(Simulator, ReportBytesIdenticalAcrossThreadsAndCache)
     // export; every run below also replays the reference's seed.
     for (const ServingSpec &spec : {tinySpec(), readmeSpec()})
         testutil::expectExportsIndependentOfThreadsAndCache(spec);
+}
+
+/**
+ * bench_e2e's serve workload at seed 1, cut from 1 s to 250 ms:
+ * diurnal traffic over two streams onto four replicas, with failures,
+ * retries, deadlines and a bounded queue.
+ */
+ServingSpec
+benchServeSpec()
+{
+    ServingSpec spec;
+    spec.streams = {StreamSpec{"lenet5", 8.0, 0},
+                    StreamSpec{"mobilenetv2", 2.0, 1}};
+    spec.arrivals.kind = ArrivalKind::Diurnal;
+    spec.arrivals.ratePerS = 100e3;
+    spec.arrivals.diurnalPeriodS = 1.0;
+    spec.arrivals.diurnalDepth = 0.5;
+    spec.arrivals.seed = 1;
+    spec.durationS = 0.25;
+    spec.replicas = 4;
+    spec.batch = BatchPolicy{16, 1e-3};
+    spec.failures = parseFailureSpec("--failures", "200ms:20ms");
+    spec.failures.seed = 1;
+    spec.retry = parseRetrySpec("--retry", "3:1ms");
+    spec.deadlineS = 50e-3;
+    spec.queueCap = 4096;
+    spec.sloS = 20e-3;
+    return spec;
+}
+
+TEST(Simulator, OutputsMatchThePinnedDigests)
+{
+    // Every other serve case compares two runs of one build; these
+    // digests pin the bytes across commits. The cost table behind
+    // every run sums the lowered program's stats, so a lowering,
+    // event-backend or stat-set change that moves one digit fails
+    // here. bench_e2e's spec, one spec per shard kind (replica runs
+    // the event backend, pipeline the analytic walk, tensor the
+    // scaled schedule), and the WS chip; each at 1 and 4 lanes.
+    struct Pinned
+    {
+        const char *name;
+        ServingSpec spec;
+        std::uint64_t text, json, csv, timeline;
+    };
+    ServingSpec pipeline = tinySpec();
+    pipeline.shard.kind = ShardKind::Pipeline;
+    pipeline.shard.chips = 4;
+    ServingSpec ws = tinySpec();
+    ws.incaEngine = false;
+    const Pinned cases[] = {
+        {"bench_e2e", benchServeSpec(), 0xc6a09973f4603684ULL,
+         0xd3a3e5a6bb89f90aULL, 0x5f48162df2ef97a9ULL, 0xbe0b4c25ae5cda4dULL},
+        {"replica", tinySpec(), 0x0eb90976b4a95753ULL,
+         0x64b3963b2ad281c3ULL, 0x3dfec8ab51df15faULL, 0x02980df339da9fe8ULL},
+        {"pipeline", pipeline, 0x8d9c6ff0c2188737ULL,
+         0x8dc7267d161cebe1ULL, 0x401f15c822036a0cULL, 0x02980df339da9fe8ULL},
+        {"tensor", readmeSpec(), 0x46acee7dff233c39ULL,
+         0xd23f4860fe1ed242ULL, 0x6fec107a06fc0b07ULL, 0x0ecc6a8bd13620aaULL},
+        {"ws", ws, 0x249da557c81a719cULL,
+         0xc9c9fbe3389f1860ULL, 0xb79c1e4eb89b472dULL, 0x0daf599fa110e132ULL},
+    };
+    for (const int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (const Pinned &c : cases) {
+            SCOPED_TRACE(std::string(c.name) + " at " +
+                         std::to_string(threads) + " threads");
+            const testutil::ServingExports got =
+                testutil::servingExports(simulate(c.spec));
+            EXPECT_EQ(testutil::fnv1a(got.text), c.text);
+            EXPECT_EQ(testutil::fnv1a(got.json), c.json);
+            EXPECT_EQ(testutil::fnv1a(got.csv), c.csv);
+            EXPECT_EQ(testutil::fnv1a(got.timeline), c.timeline);
+        }
+    }
+    ThreadPool::setGlobalThreads(1);
 }
 
 TEST(Simulator, P99DropsAsReplicasGrow)
