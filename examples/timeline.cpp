@@ -205,7 +205,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "event: unit %-8s %4zu intervals, busy "
                          "%.17g s\n",
-                         unit.c_str(), intervals.size(), busySum);
+                         ir::unitName(unit), intervals.size(), busySum);
         }
     } else {
         run = ir::analyticWalk(program);

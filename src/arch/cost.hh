@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -39,13 +40,20 @@ struct LayerCost
     Seconds latency = 0.0;  ///< layer busy time
 
     /** Total dynamic energy of the layer. */
-    Joules energy() const { return stats.sumPrefix("energy"); }
+    Joules
+    energy() const
+    {
+        constexpr StatRange kEnergy = statPrefix("energy");
+        return stats.sum(kEnergy);
+    }
 
     /** Memory-system (DRAM + buffer) energy of the layer. */
-    Joules memoryEnergy() const
+    Joules
+    memoryEnergy() const
     {
-        return stats.sumPrefix("energy.dram") +
-               stats.sumPrefix("energy.buffer");
+        constexpr StatRange kDram = statPrefix("energy.dram");
+        constexpr StatRange kBuffer = statPrefix("energy.buffer");
+        return stats.sum(kDram) + stats.sum(kBuffer);
     }
 };
 
@@ -65,13 +73,19 @@ struct RunCost
      */
     std::uint64_t configKeyHash = 0;
 
-    /** Sum of a stat across layers. */
+    /** Sum of the stats under a dotted prefix across layers. */
+    double sum(std::string_view prefix) const
+    {
+        return sum(statPrefix(prefix));
+    }
+
+    /** Sum of the stats in @p r across layers. */
     double
-    sum(const std::string &prefix) const
+    sum(StatRange r) const
     {
         double total = 0.0;
         for (const auto &l : layers)
-            total += l.stats.sumPrefix(prefix);
+            total += l.stats.sum(r);
         return total;
     }
 
@@ -79,7 +93,8 @@ struct RunCost
     Joules
     energy() const
     {
-        return sum("energy") + staticEnergy;
+        constexpr StatRange kEnergy = statPrefix("energy");
+        return sum(kEnergy) + staticEnergy;
     }
 
     /** Energy per image. */

@@ -1,78 +1,65 @@
 #include "common/stats.hh"
 
-#include <cstdio>
-#include <sstream>
-
 namespace inca {
 
-void
-StatSet::add(const std::string &name, double delta)
+namespace {
+
+/** Ids in name order: iteration and prefix sums depend on it. */
+constexpr bool
+namesIncrease()
 {
-    stats_[name] += delta;
+    for (int i = 1; i < kStatCount; ++i)
+        if (!(kStatNames[std::size_t(i - 1)] < kStatNames[std::size_t(i)]))
+            return false;
+    return true;
 }
 
-void
-StatSet::set(const std::string &name, double value)
+/** Every prefix a name can be queried by covers exactly its range. */
+constexpr bool
+prefixesAreRanges()
 {
-    stats_[name] = value;
+    for (const std::string_view name : kStatNames) {
+        for (std::size_t cut = 0; cut <= name.size(); ++cut) {
+            if (cut < name.size() && name[cut] != '.')
+                continue;
+            const std::string_view prefix = name.substr(0, cut);
+            const StatRange r = statPrefix(prefix);
+            for (int i = r.first; i < r.last; ++i) {
+                const std::string_view n = kStatNames[std::size_t(i)];
+                if (!n.starts_with(prefix) ||
+                    (n.size() != cut && n[cut] != '.'))
+                    return false;
+            }
+        }
+    }
+    return true;
 }
 
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = stats_.find(name);
-    return it == stats_.end() ? 0.0 : it->second;
-}
+static_assert(namesIncrease(), "kStatNames must be in name order");
+static_assert(prefixesAreRanges(), "a stat prefix spans a foreign name");
+static_assert(kStatCount <= 32, "the presence mask holds 32 stats");
 
-bool
-StatSet::has(const std::string &name) const
-{
-    return stats_.find(name) != stats_.end();
-}
+} // namespace
 
 StatSet &
 StatSet::operator+=(const StatSet &other)
 {
-    for (const auto &[name, value] : other.stats_)
-        stats_[name] += value;
-    return *this;
-}
-
-StatSet &
-StatSet::operator*=(double factor)
-{
-    for (auto &[name, value] : stats_)
-        value *= factor;
+    for (std::uint32_t rest = other.present_; rest != 0; rest &= rest - 1) {
+        const int i = std::countr_zero(rest);
+        values_[std::size_t(i)] += other.values_[std::size_t(i)];
+    }
+    present_ |= other.present_;
     return *this;
 }
 
 double
-StatSet::sumPrefix(const std::string &prefix) const
+StatSet::sum(StatRange r) const
 {
-    double sum = 0.0;
-    for (auto it = stats_.lower_bound(prefix); it != stats_.end(); ++it) {
-        const std::string &name = it->first;
-        if (name.compare(0, prefix.size(), prefix) != 0)
-            break;
-        if (name.size() == prefix.size() || name[prefix.size()] == '.')
-            sum += it->second;
-    }
-    return sum;
-}
-
-std::string
-StatSet::format(const std::string &title) const
-{
-    std::ostringstream os;
-    if (!title.empty())
-        os << title << "\n";
-    for (const auto &[name, value] : stats_) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "  %-40s %.6g\n", name.c_str(),
-                      value);
-        os << buf;
-    }
-    return os.str();
+    double total = 0.0;
+    for (int i = r.first; i < r.last; ++i)
+        if (present_ & bit(i))
+            total += values_[std::size_t(i)];
+    return total;
 }
 
 } // namespace inca

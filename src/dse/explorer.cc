@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -541,13 +542,13 @@ Explorer::run()
         bool append = false;
         JournalContents contents;
         if (options_.resume &&
-            readJournal(options_.journalPath, contents)) {
-            if (contents.header.signature != header.signature)
-                fatal("journal '%s' belongs to a different run:\n"
-                      "  journal: %s\n  requested: %s",
-                      options_.journalPath.c_str(),
-                      contents.header.signature.c_str(),
-                      header.signature.c_str());
+            readJournal(options_.journalPath, header,
+                        options_.objectives.size(), contents)) {
+            // Cut a torn tail, or the next line would be appended to
+            // it and every later resume would read the glued line.
+            if (contents.truncatedTail)
+                std::filesystem::resize_file(options_.journalPath,
+                                             contents.completeBytes);
             replay = std::move(contents.evals);
             append = true;
         }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "common/export_util.hh"
@@ -161,13 +162,54 @@ getDoubleArray(const std::string &line, const char *key,
     return true;
 }
 
+/** One number an eval line carries. */
+struct NumberField
+{
+    const char *key;
+    double Evaluation::*member;
+    /** The value of a line written before the field existed; NaN
+     *  when every line carries the field. */
+    double fallback;
+};
+
+constexpr double kRequired = std::numeric_limits<double>::quiet_NaN();
+
+constexpr NumberField kNumberFields[] = {
+    {"area_m2", &Evaluation::areaM2, kRequired},
+    {"idle_w", &Evaluation::idlePowerW, kRequired},
+    {"utilization", &Evaluation::utilization, kRequired},
+    {"accuracy", &Evaluation::accuracy, kRequired},
+    {"energy_j", &Evaluation::energyJ, kRequired},
+    {"latency_s", &Evaluation::latencyS, kRequired},
+    // Written by every v2 journal; absent from pre-resilience ones
+    // (which a signature mismatch rejects anyway).
+    {"resilience", &Evaluation::resilience, 0.0},
+    // Journals written before the event backend carry no timed
+    // latency, those before the analysis layer no bottleneck share,
+    // pre-serving ones no serving scalars, and pre-chaos ones no
+    // availability or shed fraction.
+    {"latency_timed_s", &Evaluation::timedLatencyS, 0.0},
+    {"critical_share", &Evaluation::criticalShare, 0.0},
+    {"p99_latency_s", &Evaluation::p99LatencyS, 0.0},
+    {"goodput_rps", &Evaluation::goodputRps, 0.0},
+    {"energy_per_request_j", &Evaluation::energyPerRequestJ, 0.0},
+    {"availability", &Evaluation::availability, 1.0},
+    {"shed_fraction", &Evaluation::shedFraction, 0.0},
+};
+
+/**
+ * Parse one eval line into @p e, leaving the index's raw token in
+ * @p index (the index field itself is checked against the run by
+ * readJournal). False when the line does not parse.
+ */
 bool
-parseEvalLine(const std::string &line, Evaluation &e)
+parseEvalLine(const std::string &line, Evaluation &e, std::string &index)
 {
     std::string type;
     if (!getString(line, "type", type) || type != "eval")
         return false;
-    if (!getU64(line, "index", e.candidate.index))
+    if (!rawValue(line, "index", index) ||
+        !getU64(line, "index", e.candidate.index))
         return false;
     if (!getBool(line, "feasible", e.feasible) ||
         !getBool(line, "scored", e.scored))
@@ -176,44 +218,65 @@ parseEvalLine(const std::string &line, Evaluation &e)
         return false;
     if (!getU64(line, "config_key_hash", e.configKeyHash))
         return false;
-    if (!getDouble(line, "area_m2", e.areaM2) ||
-        !getDouble(line, "idle_w", e.idlePowerW) ||
-        !getDouble(line, "utilization", e.utilization) ||
-        !getDouble(line, "accuracy", e.accuracy) ||
-        !getDouble(line, "energy_j", e.energyJ) ||
-        !getDouble(line, "latency_s", e.latencyS))
-        return false;
-    // Written by every v2 journal; absent from pre-resilience ones
-    // (which a signature mismatch rejects anyway), so default it
-    // rather than failing the whole line.
-    if (!getDouble(line, "resilience", e.resilience))
-        e.resilience = 0.0;
-    // Same forward-compatibility treatment: journals written before
-    // the event backend carry no timed latency.
-    if (!getDouble(line, "latency_timed_s", e.timedLatencyS))
-        e.timedLatencyS = 0.0;
-    // ... and journals written before the analysis layer carry no
-    // bottleneck attribution.
+    for (const NumberField &f : kNumberFields) {
+        if (getDouble(line, f.key, e.*f.member))
+            continue;
+        if (std::isnan(f.fallback))
+            return false;
+        e.*f.member = f.fallback;
+    }
+    // Journals written before the analysis layer carry no bottleneck
+    // attribution.
     if (!getString(line, "bottleneck_unit", e.bottleneckUnit))
         e.bottleneckUnit.clear();
-    if (!getDouble(line, "critical_share", e.criticalShare))
-        e.criticalShare = 0.0;
-    // ... and pre-serving journals carry no serving scalars.
-    if (!getDouble(line, "p99_latency_s", e.p99LatencyS))
-        e.p99LatencyS = 0.0;
-    if (!getDouble(line, "goodput_rps", e.goodputRps))
-        e.goodputRps = 0.0;
-    if (!getDouble(line, "energy_per_request_j",
-                   e.energyPerRequestJ))
-        e.energyPerRequestJ = 0.0;
-    // ... and pre-chaos journals carry no availability/shed scalars.
-    if (!getDouble(line, "availability", e.availability))
-        e.availability = 1.0;
-    if (!getDouble(line, "shed_fraction", e.shedFraction))
-        e.shedFraction = 0.0;
-    if (!getDoubleArray(line, "objectives", e.objectives))
+    return getDoubleArray(line, "objectives", e.objectives);
+}
+
+/**
+ * The candidate @p token names in a space of @p spaceSize points:
+ * false unless it is a plain decimal below spaceSize.
+ */
+bool
+candidateIndex(const std::string &token, std::uint64_t spaceSize,
+               std::uint64_t &out)
+{
+    if (token.empty() ||
+        token.find_first_not_of("0123456789") != std::string::npos)
         return false;
-    return true;
+    errno = 0;
+    out = std::strtoull(token.c_str(), nullptr, 10);
+    return errno != ERANGE && out < spaceSize;
+}
+
+/**
+ * Fatal unless @p e, parsed from line @p lineNo of the journal at
+ * @p path with the raw index @p index, can belong to @p run: the
+ * writer only ever writes a candidate of the run's space, one value
+ * per objective and finite numbers.
+ */
+void
+checkBelongs(const std::string &path, std::size_t lineNo,
+             const std::string &index, Evaluation &e,
+             const JournalHeader &run, std::size_t arity)
+{
+    if (!candidateIndex(index, run.spaceSize, e.candidate.index))
+        fatal("journal '%s' line %zu: index %s is not a candidate of "
+              "this run's %llu-point space",
+              path.c_str(), lineNo, index.c_str(),
+              static_cast<unsigned long long>(run.spaceSize));
+    if (e.objectives.size() != arity)
+        fatal("journal '%s' line %zu: objectives holds %zu values, "
+              "but this run scores %zu",
+              path.c_str(), lineNo, e.objectives.size(), arity);
+    for (const double v : e.objectives)
+        if (!std::isfinite(v))
+            fatal("journal '%s' line %zu: objectives holds a "
+                  "non-finite value",
+                  path.c_str(), lineNo);
+    for (const NumberField &f : kNumberFields)
+        if (!std::isfinite(e.*f.member))
+            fatal("journal '%s' line %zu: %s is not finite",
+                  path.c_str(), lineNo, f.key);
 }
 
 } // namespace
@@ -303,16 +366,22 @@ JournalWriter::close()
 }
 
 bool
-readJournal(const std::string &path, JournalContents &out)
+readJournal(const std::string &path, const JournalHeader &run,
+            std::size_t arity, JournalContents &out)
 {
     std::ifstream in(path.c_str());
     if (!in.is_open())
         return false;
     std::vector<std::string> lines;
+    std::vector<std::uint64_t> starts; ///< byte offset of each line
+    std::uint64_t offset = 0;
     std::string line;
     while (std::getline(in, line)) {
-        if (!line.empty())
+        if (!line.empty()) {
             lines.push_back(line);
+            starts.push_back(offset);
+        }
+        offset += line.size() + 1;
     }
     if (lines.empty())
         fatal("journal '%s' is empty", path.c_str());
@@ -322,18 +391,26 @@ readJournal(const std::string &path, JournalContents &out)
         !getString(lines[0], "signature", out.header.signature) ||
         !getU64(lines[0], "space_size", out.header.spaceSize))
         fatal("journal '%s' has no parsable header", path.c_str());
+    if (out.header.signature != run.signature)
+        fatal("journal '%s' belongs to a different run:\n"
+              "  journal: %s\n  requested: %s",
+              path.c_str(), out.header.signature.c_str(),
+              run.signature.c_str());
 
     for (std::size_t i = 1; i < lines.size(); ++i) {
         Evaluation e;
-        if (!parseEvalLine(lines[i], e)) {
+        std::string index;
+        if (!parseEvalLine(lines[i], e, index)) {
             if (i + 1 == lines.size()) {
                 // Torn final line from a mid-write kill: drop it.
                 out.truncatedTail = true;
+                out.completeBytes = starts[i];
                 break;
             }
             fatal("journal '%s': malformed line %zu", path.c_str(),
                   i + 1);
         }
+        checkBelongs(path, i + 1, index, e, run, arity);
         out.evals[e.candidate.index] = e;
     }
     return true;

@@ -21,6 +21,7 @@
 #ifndef INCA_DSE_JOURNAL_HH
 #define INCA_DSE_JOURNAL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -87,15 +88,23 @@ struct JournalContents
     std::unordered_map<std::uint64_t, Evaluation> evals;
     /** True when the final line was torn (killed mid-write). */
     bool truncatedTail = false;
+    /** With truncatedTail: the journal's length without the torn
+     *  line, where a resumed run cuts it before appending. */
+    std::uint64_t completeBytes = 0;
 };
 
 /**
- * Read a journal written by JournalWriter. Returns false when @p path
- * does not exist; fatal on a file with no parsable header. A
- * malformed final line is tolerated (truncatedTail); a malformed
- * interior line is fatal.
+ * Read the journal JournalWriter wrote at @p path for the run @p run
+ * describes, which scores @p arity objectives. Returns false when
+ * @p path does not exist. A malformed final line is tolerated
+ * (truncatedTail). Fatal on: a file with no parsable header; a header
+ * whose signature is not @p run's; a malformed interior line; and any
+ * line that parses but cannot belong to the run -- an index outside
+ * its space, an objective count other than @p arity, or a non-finite
+ * number. Each message names the journal, the line and the field.
  */
-bool readJournal(const std::string &path, JournalContents &out);
+bool readJournal(const std::string &path, const JournalHeader &run,
+                 std::size_t arity, JournalContents &out);
 
 } // namespace dse
 } // namespace inca

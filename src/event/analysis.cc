@@ -187,20 +187,16 @@ analyze(const ir::Program &p, const TimedRun &t,
 
     // --- Slack: gap recursion over successors, reverse topological
     // order (dependencies always point backwards). ---
-    std::vector<std::vector<int>> succ;
-    succ.resize(std::size_t(n));
-    for (int i = 0; i < n; ++i)
-        for (const int d : p.instrs[std::size_t(i)].deps)
-            succ[std::size_t(d)].push_back(i);
+    const Successors succ(p);
     r.slack.assign(std::size_t(n), 0.0);
     for (int i = n - 1; i >= 0; --i) {
-        if (succ[std::size_t(i)].empty()) {
+        if (succ.of(i).empty()) {
             r.slack[std::size_t(i)] = std::max(
                 0.0, t.makespan - t.schedule[std::size_t(i)].finish);
             continue;
         }
         Seconds s = std::numeric_limits<double>::infinity();
-        for (const int j : succ[std::size_t(i)])
+        for (const int j : succ.of(i))
             s = std::min(s, (t.schedule[std::size_t(j)].start -
                              t.schedule[std::size_t(i)].finish) +
                                 r.slack[std::size_t(j)]);
@@ -217,8 +213,8 @@ analyze(const ir::Program &p, const TimedRun &t,
         UnitReport row;
         row.unit = ir::Unit(u);
         const std::vector<BusyInterval> *intervals = nullptr;
-        for (const auto &[name, list] : t.busy)
-            if (name == ir::unitName(row.unit))
+        for (const auto &[unit, list] : t.busy)
+            if (unit == row.unit)
                 intervals = &list;
         // Merged-interval sweep: coverage and gaps inside
         // [0, makespan], overhang past it. Intervals arrive sorted

@@ -3,10 +3,12 @@
 #include "event/analysis.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
@@ -14,6 +16,27 @@
 
 namespace inca {
 namespace event {
+
+Successors::Successors(const ir::Program &p)
+{
+    const std::size_t n = p.instrs.size();
+    // Count each instruction's successors, turn the counts into start
+    // offsets, then fill in program order, so each list ascends.
+    offsets_.assign(n + 1, 0);
+    for (const ir::Instr &in : p.instrs)
+        for (const int d : in.deps)
+            ++offsets_[std::size_t(d) + 1];
+    for (std::size_t i = 0; i < n; ++i)
+        offsets_[i + 1] += offsets_[i];
+    list_.resize(std::size_t(offsets_[n]));
+    for (std::size_t i = 0; i < n; ++i)
+        for (const int d : p.instrs[i].deps)
+            list_[std::size_t(offsets_[std::size_t(d)]++)] = int(i);
+    // Filling advanced offsets_[d] to the start of d + 1.
+    for (std::size_t i = n; i > 0; --i)
+        offsets_[i] = offsets_[i - 1];
+    offsets_[0] = 0;
+}
 
 TimedRun
 execute(const ir::Program &p)
@@ -24,24 +47,21 @@ execute(const ir::Program &p)
     TimedRun t;
     t.schedule.resize(std::size_t(n));
 
-    // Successor lists + in-degrees from the lowered dependencies.
+    const Successors succ(p);
     std::vector<int> indeg(std::size_t(n), 0);
-    std::vector<std::vector<int>> succ(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < n; ++i)
         indeg[std::size_t(i)] = int(p.instrs[std::size_t(i)].deps.size());
-        for (const int d : p.instrs[std::size_t(i)].deps)
-            succ[std::size_t(d)].push_back(i);
-    }
 
-    // ready[i] = max finish over resolved dependencies. Taking the
-    // running max (never a sum) keeps the schedule's arithmetic the
-    // exact additions of the lowered durations, independent of event
-    // pop order -- max is order-independent, unlike FP addition.
-    std::vector<Seconds> ready(std::size_t(n), 0.0);
-
+    // Until an instruction dispatches, its schedule start holds the
+    // max finish over its resolved dependencies. Taking the running
+    // max (never a sum) keeps the schedule's arithmetic the exact
+    // additions of the lowered durations, independent of event pop
+    // order -- max is order-independent, unlike FP addition.
     using Event = std::pair<Seconds, int>; // (finish, instr)
+    std::vector<Event> heap;
+    heap.reserve(std::size_t(n));
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        queue;
+        queue(std::greater<Event>(), std::move(heap));
     int dispatched = 0;
     for (int i = 0; i < n; ++i) {
         if (indeg[std::size_t(i)] == 0) {
@@ -57,15 +77,13 @@ execute(const ir::Program &p)
         const auto [finish, i] = queue.top();
         queue.pop();
         ++completed;
-        for (const int s : succ[std::size_t(i)]) {
-            ready[std::size_t(s)] =
-                std::max(ready[std::size_t(s)], finish);
+        for (const int s : succ.of(i)) {
+            TimedInstr &slot = t.schedule[std::size_t(s)];
+            slot.start = std::max(slot.start, finish);
             if (--indeg[std::size_t(s)] == 0) {
-                const Seconds start = ready[std::size_t(s)];
-                t.schedule[std::size_t(s)] = {
-                    start,
-                    start + p.instrs[std::size_t(s)].duration};
-                queue.emplace(t.schedule[std::size_t(s)].finish, s);
+                slot.finish =
+                    slot.start + p.instrs[std::size_t(s)].duration;
+                queue.emplace(slot.finish, s);
                 ++dispatched;
             }
         }
@@ -84,6 +102,7 @@ execute(const ir::Program &p)
     t.run.phase = p.phase;
     t.run.batchSize = p.batchSize;
     t.run.configKeyHash = p.configKeyHash;
+    t.run.layers.reserve(p.spans.size());
     for (const ir::Span &span : p.spans) {
         if (span.synthetic)
             continue;
@@ -94,27 +113,35 @@ execute(const ir::Program &p)
 
     // Busy intervals per unit, ordered by (start, instr); sync
     // instructions occupy nothing.
-    std::vector<std::pair<ir::Unit, BusyInterval>> occ;
+    constexpr int kUnits = int(ir::Unit::Ctrl) + 1;
+    std::array<int, kUnits> work{};
+    for (const ir::Instr &in : p.instrs)
+        if (in.op != ir::Op::Sync)
+            ++work[std::size_t(in.unit)];
+    std::array<std::vector<BusyInterval> *, kUnits> of{};
+    t.busy.reserve(std::size_t(std::count_if(
+        work.begin(), work.end(), [](int w) { return w > 0; })));
+    for (int u = 0; u < kUnits; ++u) {
+        if (work[std::size_t(u)] == 0)
+            continue;
+        t.busy.push_back({ir::Unit(u), {}});
+        t.busy.back().second.reserve(std::size_t(work[std::size_t(u)]));
+        of[std::size_t(u)] = &t.busy.back().second;
+    }
     for (int i = 0; i < n; ++i) {
         const ir::Instr &in = p.instrs[std::size_t(i)];
-        if (in.op == ir::Op::Sync)
-            continue;
-        occ.push_back({in.unit,
-                       {i, t.schedule[std::size_t(i)].start,
-                        t.schedule[std::size_t(i)].finish}});
+        if (in.op != ir::Op::Sync)
+            of[std::size_t(in.unit)]->push_back(
+                {i, t.schedule[std::size_t(i)].start,
+                 t.schedule[std::size_t(i)].finish});
     }
-    std::sort(occ.begin(), occ.end(), [](const auto &a, const auto &b) {
-        if (a.first != b.first)
-            return int(a.first) < int(b.first);
-        if (a.second.start != b.second.start)
-            return a.second.start < b.second.start;
-        return a.second.instr < b.second.instr;
-    });
-    for (const auto &[unit, interval] : occ) {
-        if (t.busy.empty() || t.busy.back().first != ir::unitName(unit))
-            t.busy.push_back({ir::unitName(unit), {}});
-        t.busy.back().second.push_back(interval);
-    }
+    for (auto &[unit, intervals] : t.busy)
+        std::sort(intervals.begin(), intervals.end(),
+                  [](const BusyInterval &a, const BusyInterval &b) {
+                      if (a.start != b.start)
+                          return a.start < b.start;
+                      return a.instr < b.instr;
+                  });
     return t;
 }
 
@@ -130,7 +157,9 @@ emitTrace(const ir::Program &p, const TimedRun &t)
         const ir::Instr &in = p.instrs[std::size_t(i)];
         const std::string name =
             std::string(ir::unitName(in.unit)) + " " +
-            (in.label.empty() ? ir::opName(in.op) : in.label);
+            (in.label.verb == ir::Verb::None
+                 ? std::string(ir::opName(in.op))
+                 : ir::labelText(p, in.label));
         if (in.op == ir::Op::Sync) {
             // Joins cost nothing but show where chains meet.
             trace::emitInstant(name,

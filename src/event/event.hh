@@ -28,7 +28,8 @@
 #ifndef INCA_EVENT_EVENT_HH
 #define INCA_EVENT_EVENT_HH
 
-#include <string>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "arch/cost.hh"
@@ -36,6 +37,28 @@
 
 namespace inca {
 namespace event {
+
+/**
+ * Every instruction's successors (the instructions that list it as a
+ * dependency), as one flat table: offsets plus one list.
+ */
+class Successors
+{
+  public:
+    explicit Successors(const ir::Program &p);
+
+    /** The successors of instruction @p i, ascending. */
+    std::span<const int>
+    of(int i) const
+    {
+        return {list_.data() + offsets_[std::size_t(i)],
+                list_.data() + offsets_[std::size_t(i) + 1]};
+    }
+
+  private:
+    std::vector<int> offsets_; ///< instruction count + 1
+    std::vector<int> list_;
+};
 
 /** Scheduled start/finish of one instruction. */
 struct TimedInstr
@@ -64,8 +87,11 @@ struct TimedRun
     arch::RunCost run;
     /** Per-instruction schedule, aligned with program.instrs. */
     std::vector<TimedInstr> schedule;
-    /** Busy intervals per unit, ordered by (start, instr). */
-    std::vector<std::pair<std::string, std::vector<BusyInterval>>> busy;
+    /**
+     * Busy intervals of each unit that ran work, in ir::Unit order;
+     * each unit's intervals are ordered by (start, instr).
+     */
+    std::vector<std::pair<ir::Unit, std::vector<BusyInterval>>> busy;
     /** Finish time of the exit sync. */
     Seconds makespan = 0.0;
 };

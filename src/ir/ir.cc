@@ -1,9 +1,10 @@
 #include "ir/ir.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/export_util.hh"
 #include "common/logging.hh"
@@ -53,6 +54,106 @@ unitName(Unit unit)
     panic("unreachable unit %d", int(unit));
 }
 
+const char *
+roleName(Role role)
+{
+    switch (role) {
+      case Role::Act:
+        return "act";
+      case Role::Grad:
+        return "grad";
+      case Role::WFetch:
+        return "w.fetch";
+      case Role::WTFetch:
+        return "wT.fetch";
+      case Role::Psum:
+        return "psum";
+      case Role::Out:
+        return "out";
+      case Role::Err:
+        return "err";
+      case Role::Dw:
+        return "dw";
+      case Role::W:
+        return "w";
+      case Role::WT:
+        return "wT";
+      case Role::Fetch:
+        return "fetch";
+    }
+    panic("unreachable role %d", int(role));
+}
+
+const char *
+verbName(Verb verb)
+{
+    switch (verb) {
+      case Verb::None:
+        return "";
+      case Verb::Load:
+        return "load";
+      case Verb::LoadT:
+        return "load-T";
+      case Verb::Mvm:
+        return "mvm";
+      case Verb::Reduce:
+        return "reduce";
+      case Verb::Move:
+        return "move";
+      case Verb::Sync:
+        return "sync";
+      case Verb::Post:
+        return "post";
+      case Verb::Writeback:
+        return "writeback";
+      case Verb::Fetch:
+        return "fetch";
+      case Verb::Save:
+        return "save";
+      case Verb::StoreActs:
+        return "store-acts";
+      case Verb::ProgramWeights:
+        return "program-weights";
+      case Verb::Pipe:
+        return "pipe";
+      case Verb::StreamWeightsAll:
+        return "stream weights";
+      case Verb::ProgramWeightsAll:
+        return "program weights";
+      case Verb::SyncReload:
+        return "sync reload";
+      case Verb::Drain:
+        return "drain";
+      case Verb::Exit:
+        return "exit";
+    }
+    panic("unreachable verb %d", int(verb));
+}
+
+NameId
+addName(Program &p, std::string name)
+{
+    inca_assert(p.names.size() < kNoName, "program '%s' has too many names",
+                p.network.c_str());
+    p.names.push_back(std::move(name));
+    return NameId(p.names.size() - 1);
+}
+
+std::string
+operandName(const Program &p, Operand o)
+{
+    return std::string(roleName(o.role)) + "." + p.names[o.name];
+}
+
+std::string
+labelText(const Program &p, Label l)
+{
+    std::string text = verbName(l.verb);
+    if (l.name != kNoName)
+        text += " " + p.names[l.name];
+    return text;
+}
+
 bool
 unitByName(const std::string &name, Unit &out)
 {
@@ -74,7 +175,10 @@ spanLatency(const Program &p, const Span &span)
     // of dep finishes) + duration keeps every addition a single IEEE
     // operation, so the chain folds exactly like the engine formulas
     // it replaces (max(a + c, b + c) == max(a, b) + c).
-    std::vector<Seconds> finish(std::size_t(span.count), 0.0);
+    inca_assert(span.count <= kMaxSpanInstrs,
+                "span '%s' holds %d instructions (at most %d)",
+                span.name.c_str(), span.count, kMaxSpanInstrs);
+    std::array<Seconds, kMaxSpanInstrs> finish{};
     Seconds latest = 0.0;
     for (int i = 0; i < span.count; ++i) {
         const Instr &in = p.instrs[std::size_t(span.first + i)];
@@ -111,6 +215,7 @@ analyticWalk(const Program &p)
     run.phase = p.phase;
     run.batchSize = p.batchSize;
     run.configKeyHash = p.configKeyHash;
+    run.layers.reserve(p.spans.size());
     for (const Span &span : p.spans) {
         if (span.synthetic) {
             run.latency += spanLatency(p, span);
@@ -130,14 +235,15 @@ validate(const Program &p)
     const int n = int(p.instrs.size());
     inca_assert(n >= 1, "program '%s' is empty", p.network.c_str());
     const Instr &exit = p.instrs.back();
-    inca_assert(exit.op == Op::Sync && exit.label == "exit",
+    inca_assert(exit.op == Op::Sync && exit.label.verb == Verb::Exit,
                 "program '%s' must end with the exit sync",
                 p.network.c_str());
 
     // Spans partition [0, n-1) in order; the exit sync stands alone.
     int next = 0;
     for (const Span &span : p.spans) {
-        inca_assert(span.first == next && span.count > 0,
+        inca_assert(span.first == next && span.count > 0 &&
+                        span.count <= kMaxSpanInstrs,
                     "span '%s' breaks the partition at %d",
                     span.name.c_str(), next);
         next = span.first + span.count;
@@ -145,31 +251,42 @@ validate(const Program &p)
     inca_assert(next == n - 1,
                 "spans cover %d of %d instructions", next, n - 1);
 
-    std::set<std::string> live(p.inputs.begin(), p.inputs.end());
+    // Live tensors, one bit per (role, name) pair.
+    const std::size_t names = p.names.size();
+    std::vector<bool> live(std::size_t(kRoleCount) * names);
+    const auto slot = [&](Operand o) {
+        inca_assert(o.name < names, "operand name %d is not in '%s'",
+                    int(o.name), p.network.c_str());
+        return std::size_t(o.role) * names + o.name;
+    };
+    for (const Operand in : p.inputs)
+        live[slot(in)] = true;
     for (int i = 0; i < n; ++i) {
         const Instr &in = p.instrs[std::size_t(i)];
         inca_assert(std::isfinite(in.duration) && in.duration >= 0.0,
                     "instr %d '%s' has bad duration", i,
-                    in.label.c_str());
-        std::set<int> seen;
-        for (const int d : in.deps) {
+                    labelText(p, in.label).c_str());
+        for (std::size_t a = 0; a < in.deps.size(); ++a) {
+            const int d = in.deps[a];
             inca_assert(d >= 0 && d < i,
                         "instr %d '%s' depends forward on %d "
                         "(cycle/deadlock)",
-                        i, in.label.c_str(), d);
-            inca_assert(seen.insert(d).second,
-                        "instr %d '%s' lists dep %d twice", i,
-                        in.label.c_str(), d);
+                        i, labelText(p, in.label).c_str(), d);
+            for (std::size_t b = 0; b < a; ++b)
+                inca_assert(in.deps[b] != d,
+                            "instr %d '%s' lists dep %d twice", i,
+                            labelText(p, in.label).c_str(), d);
         }
         // Tensors must be produced before use, in program order
         // (loads stream concurrently with the consumer, so program
         // order, not dependency order, is the visibility rule).
-        for (const std::string &r : in.reads)
-            inca_assert(live.count(r) != 0,
+        for (const Operand r : in.reads)
+            inca_assert(live[slot(r)],
                         "instr %d '%s' reads '%s' before any write",
-                        i, in.label.c_str(), r.c_str());
-        for (const std::string &w : in.writes)
-            live.insert(w);
+                        i, labelText(p, in.label).c_str(),
+                        operandName(p, r).c_str());
+        for (const Operand w : in.writes)
+            live[slot(w)] = true;
     }
 }
 
@@ -183,8 +300,8 @@ disassemble(const Program &p)
        << " batch=" << p.batchSize
        << " overlap=" << (p.overlap ? 1 : 0) << "\n";
     os << "inputs:";
-    for (const std::string &in : p.inputs)
-        os << " " << in;
+    for (const Operand in : p.inputs)
+        os << " " << operandName(p, in);
     os << "\n";
     std::size_t span = 0;
     for (int i = 0; i < int(p.instrs.size()); ++i) {
@@ -207,17 +324,17 @@ disassemble(const Program &p)
         if (!in.reads.empty()) {
             os << " reads=(";
             for (std::size_t r = 0; r < in.reads.size(); ++r)
-                os << (r ? "," : "") << in.reads[r];
+                os << (r ? "," : "") << operandName(p, in.reads[r]);
             os << ")";
         }
         if (!in.writes.empty()) {
             os << " writes=(";
             for (std::size_t w = 0; w < in.writes.size(); ++w)
-                os << (w ? "," : "") << in.writes[w];
+                os << (w ? "," : "") << operandName(p, in.writes[w]);
             os << ")";
         }
-        if (!in.label.empty())
-            os << " ; " << in.label;
+        if (in.label.verb != Verb::None)
+            os << " ; " << labelText(p, in.label);
         os << "\n";
     }
     return os.str();

@@ -27,16 +27,25 @@
  * but keeps off the run makespan (the WS training pipeline hides the
  * per-layer passes behind fill + drain); the event backend excludes
  * them from the exit sync for the same reason.
+ *
+ * Instructions are flat: fixed fields, inline dependency and operand
+ * lists, a StatSet array, and operands and labels as ids into the
+ * program's name table. Names are spelled only by disassemble(), the
+ * event trace and validate()'s failure messages, so a lowering makes
+ * a handful of allocations, not several per instruction.
  */
 
 #ifndef INCA_IR_IR_HH
 #define INCA_IR_IR_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "arch/cost.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
 #include "nn/layer.hh"
@@ -73,19 +82,129 @@ const char *unitName(Unit unit);
 /** Reverse of unitName ("dram" -> Unit::Dram); false when unknown. */
 bool unitByName(const std::string &name, Unit &out);
 
-/** One typed instruction. */
+/**
+ * A list of at most N values stored inline; growing past N is a
+ * simulator bug.
+ */
+template <typename T, int N>
+class InlineList
+{
+  public:
+    InlineList() = default;
+    InlineList(std::initializer_list<T> values)
+    {
+        for (const T &v : values)
+            push_back(v);
+    }
+
+    void
+    push_back(const T &v)
+    {
+        inca_assert(size_ < N, "inline list holds at most %d values", N);
+        values_[size_++] = v;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const T &operator[](std::size_t i) const { return values_[i]; }
+    T *begin() { return values_; }
+    T *end() { return values_ + size_; }
+    const T *begin() const { return values_; }
+    const T *end() const { return values_ + size_; }
+
+    bool operator==(const InlineList &other) const = default;
+
+  private:
+    T values_[N] = {}; ///< value-initialized past size_
+    std::uint8_t size_ = 0;
+};
+
+/** Index into Program::names. */
+using NameId = std::uint16_t;
+
+/** No name-table entry (a label whose verb stands alone). */
+inline constexpr NameId kNoName = 0xffff;
+
+/** What a tensor operand holds: the first part of its name. */
+enum class Role : std::uint8_t
+{
+    Act,     ///< "act": activations
+    Grad,    ///< "grad": errors flowing back
+    WFetch,  ///< "w.fetch": weights fetched for an IS layer
+    WTFetch, ///< "wT.fetch": transposed weights fetched
+    Psum,    ///< "psum": analog partial sums
+    Out,     ///< "out": converted outputs
+    Err,     ///< "err": converted errors
+    Dw,      ///< "dw": weight gradients
+    W,       ///< "w": stored weights
+    WT,      ///< "wT": stored transposed weights
+    Fetch,   ///< "fetch": WS inputs fetched from the buffer
+};
+
+inline constexpr int kRoleCount = int(Role::Fetch) + 1;
+
+/** A tensor operand, spelled "<role>.<name>" ("act.conv1"). */
+struct Operand
+{
+    Role role = Role::Act;
+    NameId name = 0;
+
+    bool operator==(const Operand &other) const = default;
+};
+
+/** What an instruction does, as its label's first word. */
+enum class Verb : std::uint8_t
+{
+    None, ///< no label
+    Load,
+    LoadT,
+    Mvm,
+    Reduce,
+    Move,
+    Sync,
+    Post,
+    Writeback,
+    Fetch,
+    Save,
+    StoreActs,
+    ProgramWeights,
+    Pipe,
+    // The verbs below stand alone (no name).
+    StreamWeightsAll,
+    ProgramWeightsAll,
+    SyncReload,
+    Drain,
+    Exit,
+};
+
+/** A presentation-only label, spelled "<verb> <name>" ("mvm conv1"). */
+struct Label
+{
+    Verb verb = Verb::None;
+    NameId name = kNoName;
+
+    bool operator==(const Label &other) const = default;
+};
+
+const char *roleName(Role role);
+const char *verbName(Verb verb);
+
+/** One typed instruction: fixed fields, no heap storage. */
 struct Instr
 {
     Op op = Op::Sync;
     Unit unit = Unit::Ctrl;
-    std::string label;      ///< presentation only ("mvm conv1")
-    int span = -1;          ///< owning span index
-    std::vector<int> deps;  ///< global indices, strictly < own index
-    Seconds duration = 0.0; ///< busy time on `unit`
-    StatSet stats;          ///< energy.* / count.* charged when run
-    std::vector<std::string> reads;  ///< tensor operands consumed
-    std::vector<std::string> writes; ///< tensor operands produced
+    Label label;                   ///< presentation only ("mvm conv1")
+    int span = -1;                 ///< owning span index
+    InlineList<int, 6> deps;       ///< global indices, < own index
+    Seconds duration = 0.0;        ///< busy time on `unit`
+    StatSet stats;                 ///< energy.* / count.* charged
+    InlineList<Operand, 2> reads;  ///< tensor operands consumed
+    InlineList<Operand, 1> writes; ///< tensor operands produced
 };
+
+/** Most instructions one span holds (a WS training stage). */
+inline constexpr int kMaxSpanInstrs = 6;
 
 /** A contiguous instruction range backing one LayerCost (or none). */
 struct Span
@@ -117,8 +236,19 @@ struct Program
 
     std::vector<Instr> instrs; ///< ends with the "exit" sync
     std::vector<Span> spans;   ///< cover instrs[0 .. N-2] in order
-    std::vector<std::string> inputs; ///< tensors live before instr 0
+    std::vector<Operand> inputs; ///< tensors live before instr 0
+    /** The names operands and labels refer to ("conv1", "in"). */
+    std::vector<std::string> names;
 };
+
+/** Append @p name to @p p's name table; returns its id. */
+NameId addName(Program &p, std::string name);
+
+/** "act.conv1": the spelling of @p o in @p p. */
+std::string operandName(const Program &p, Operand o);
+
+/** "mvm conv1": the spelling of @p l in @p p ("" for Verb::None). */
+std::string labelText(const Program &p, Label l);
 
 /** Intra-span critical path (longest dependency chain), exact. */
 Seconds spanLatency(const Program &p, const Span &span);
@@ -139,12 +269,13 @@ arch::LayerCost collapseSpan(const Program &p, const Span &span);
 arch::RunCost analyticWalk(const Program &p);
 
 /**
- * Panic (simulator bug) unless the program is well-formed: spans
- * partition the instructions, every dependency points strictly
- * backwards into the program (a DAG by construction), durations are
- * finite and non-negative, the final instruction is the single exit
- * sync, and every operand read was either written by an earlier
- * instruction in program order or is a declared program input.
+ * Panic (simulator bug) unless the program is well-formed: spans of
+ * at most kMaxSpanInstrs partition the instructions, every dependency
+ * is listed once and points strictly backwards into the program (a
+ * DAG by construction), durations are finite and non-negative, the
+ * final instruction is the single exit sync, and every operand read
+ * was either written by an earlier instruction in program order or is
+ * a declared program input.
  */
 void validate(const Program &p);
 

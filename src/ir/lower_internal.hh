@@ -1,32 +1,50 @@
 /**
  * @file
  * Shared internals of the IS and WS lowering passes: the
- * position-independent per-layer instruction group and the assembly helpers that splice
- * groups into a Program.
+ * position-independent per-layer instruction group and the assembly
+ * helpers that splice groups into a Program.
  */
 
 #ifndef INCA_IR_LOWER_INTERNAL_HH
 #define INCA_IR_LOWER_INTERNAL_HH
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "common/logging.hh"
 #include "ir/ir.hh"
 
 namespace inca {
 namespace ir {
 
 /**
- * A position-independent per-layer instruction group: dependencies are
- * group-local indices, labels and operands are unset (they carry the
- * layer name). appendSpan() rebases the group into a concrete Program
- * and the caller then assigns labels, operands, and inter-span wiring.
+ * A position-independent per-layer instruction group, held inline:
+ * dependencies are group-local indices, labels and operands are unset
+ * (they carry the layer name). appendSpan() rebases the group into a
+ * concrete Program and the caller then assigns labels, operands, and
+ * inter-span wiring.
  */
 struct LayerGroup
 {
-    std::vector<Instr> instrs;
+    /** A group of @p n default instructions. */
+    explicit LayerGroup(int n) : count(n)
+    {
+        inca_assert(n <= kMaxSpanInstrs, "group of %d instructions", n);
+    }
+
+    Instr &operator[](int i) { return instrs[std::size_t(i)]; }
+
+    void
+    push_back(const Instr &in)
+    {
+        inca_assert(count < kMaxSpanInstrs, "group is full");
+        instrs[std::size_t(count++)] = in;
+    }
+
+    std::array<Instr, kMaxSpanInstrs> instrs;
+    int count = 0;
 };
 
 /**
@@ -36,7 +54,7 @@ struct LayerGroup
  * is its completion point for inter-span wiring.
  */
 inline int
-appendSpan(Program &p, LayerGroup g, const std::string &name,
+appendSpan(Program &p, const LayerGroup &g, const std::string &name,
            nn::LayerKind kind, bool synthetic, bool offCritical)
 {
     const int base = int(p.instrs.size());
@@ -44,15 +62,15 @@ appendSpan(Program &p, LayerGroup g, const std::string &name,
     s.name = name;
     s.kind = kind;
     s.first = base;
-    s.count = int(g.instrs.size());
+    s.count = g.count;
     s.synthetic = synthetic;
     s.offCritical = offCritical;
     p.spans.push_back(std::move(s));
-    for (Instr &in : g.instrs) {
+    for (int i = 0; i < g.count; ++i) {
+        Instr &in = p.instrs.emplace_back(g.instrs[std::size_t(i)]);
         in.span = int(p.spans.size()) - 1;
         for (int &d : in.deps)
             d += base;
-        p.instrs.push_back(std::move(in));
     }
     return base;
 }
@@ -77,14 +95,13 @@ chainAfter(Program &p, int base, int prevEnd)
 inline void
 sealProgram(Program &p, int lastCritical)
 {
-    Instr exit;
+    Instr &exit = p.instrs.emplace_back();
     exit.op = Op::Sync;
     exit.unit = Unit::Ctrl;
-    exit.label = "exit";
+    exit.label = {Verb::Exit, kNoName};
     exit.span = -1;
     if (lastCritical >= 0)
         exit.deps.push_back(lastCritical);
-    p.instrs.push_back(std::move(exit));
 }
 
 } // namespace ir

@@ -106,13 +106,12 @@ forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
 {
     trace::Span span(trace::spanName("inca.fwd ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g;
-    g.instrs.resize(kConvCount);
-    Instr &load = g.instrs[kLoad];
-    Instr &mvm = g.instrs[kMvm];
-    Instr &reduce = g.instrs[kReduce];
-    Instr &move = g.instrs[kMove];
-    Instr &sync = g.instrs[kSync];
+    LayerGroup g(kConvCount);
+    Instr &load = g[kLoad];
+    Instr &mvm = g[kMvm];
+    Instr &reduce = g[kReduce];
+    Instr &move = g[kMove];
+    Instr &sync = g[kSync];
     load.op = Op::Load;
     load.unit = streamed ? Unit::Dram : Unit::Buffer;
     mvm.op = Op::Mvm;
@@ -137,8 +136,8 @@ forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
     // cycle, activation bit plane); 2T1R gating keeps all other cells
     // dark (unlike the baseline's fully-driven crossbars).
     const double cellReads = macs * wBits * aBits * images;
-    mvm.stats.add("count.array.read", cellReads);
-    mvm.stats.add("energy.array.read",
+    mvm.stats.add(Stat::CountArrayRead, cellReads);
+    mvm.stats.add(Stat::EnergyArrayRead,
                   cellReads * cfg.device.avgReadEnergy());
 
     // --- Array writes: outputs propagate directly into the next
@@ -147,35 +146,35 @@ forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
     double cellWrites = outputs * aBits * images;
     if (firstConv)
         cellWrites += double(layer.inputCount()) * aBits * images;
-    move.stats.add("count.array.write", cellWrites);
-    move.stats.add("energy.array.write",
+    move.stats.add(Stat::CountArrayWrite, cellWrites);
+    move.stats.add(Stat::EnergyArrayWrite,
                    cellWrites * cfg.device.avgWriteEnergy());
 
     // --- ADC: one conversion per (output, weight bit, activation bit
     // plane, channel ADC group) per image-plane.
     const double conversions = outputs * wBits * aBits *
                                double(m.adcGroupsPerOutput) * images;
-    reduce.stats.add("count.adc", conversions);
-    reduce.stats.add("energy.adc",
+    reduce.stats.add(Stat::CountAdc, conversions);
+    reduce.stats.add(Stat::EnergyAdc,
                      conversions * cfg.adc().energyPerConversion);
 
     // --- DAC / pillar drivers: pillars are shared by all planes of a
     // stack, so driver energy is paid once per batch wave, not per
     // image.
     const double dacEvents = macs * wBits * aBits * batchWaves;
-    mvm.stats.add("energy.dac",
+    mvm.stats.add(Stat::EnergyDac,
                   dacEvents * circuit::makeDac().energyPerActivation);
 
     // --- Digital: shift-accumulators after each conversion, adder
     // tree across channel groups, output registers.
-    reduce.stats.add("energy.digital.shift",
+    reduce.stats.add(Stat::EnergyDigitalShift,
                      conversions * cfg.digital.shiftAccumulate);
     reduce.stats.add(
-        "energy.digital.adders",
+        Stat::EnergyDigitalAdders,
         outputs * wBits * aBits * images *
             circuit::adderTreeEnergy(cfg.digital,
                                      double(m.adcGroupsPerOutput)));
-    reduce.stats.add("energy.digital.register",
+    reduce.stats.add(Stat::EnergyDigitalRegister,
                      outputs * images * 2.0 *
                          cfg.digital.registerAccess);
 
@@ -186,8 +185,8 @@ forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
                                      cfg.buffer.port.widthBits};
     const double weightFetchWords =
         double(dataflow::isLayerAccesses(layer, acc)) * batchWaves;
-    load.stats.add("count.buffer.read", weightFetchWords);
-    load.stats.add("energy.buffer.read",
+    load.stats.add(Stat::CountBufferRead, weightFetchWords);
+    load.stats.add(Stat::EnergyBufferRead,
                    cfg.buffer.readEnergy(weightFetchWords));
 
     const double weightWords =
@@ -195,14 +194,15 @@ forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
               cfg.buffer.port);
     double dramBytes = 0.0;
     if (streamed) {
-        load.stats.add("count.buffer.write", weightWords * batchWaves);
-        load.stats.add("energy.buffer.write",
+        load.stats.add(Stat::CountBufferWrite,
+                       weightWords * batchWaves);
+        load.stats.add(Stat::EnergyBufferWrite,
                        cfg.buffer.writeEnergy(weightWords *
                                               batchWaves));
         dramBytes =
             double(layer.weightCount()) * wBits / 8.0 * batchWaves;
-        load.stats.add("count.dram.bytes", dramBytes);
-        load.stats.add("energy.dram.read",
+        load.stats.add(Stat::CountDramBytes, dramBytes);
+        load.stats.add(Stat::EnergyDramRead,
                        cfg.dram.accessEnergy(dramBytes));
     }
 
@@ -221,8 +221,8 @@ forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
     if (replication > 1.0) {
         const double extraWrites = double(layer.inputCount()) * aBits *
                                    images * (replication - 1.0);
-        move.stats.add("count.array.write", extraWrites);
-        move.stats.add("energy.array.write",
+        move.stats.add(Stat::CountArrayWrite, extraWrites);
+        move.stats.add(Stat::EnergyArrayWrite,
                        extraWrites * cfg.device.avgWriteEnergy());
     }
     const double reads =
@@ -263,9 +263,9 @@ backwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
         double(layer.outputCount()) * aBits * images;
     const double bwdWrites =
         double(layer.inputCount()) * aBits * images;
-    Instr &move = g.instrs[kMove];
-    move.stats.add("count.array.write", bwdWrites - fwdWrites);
-    move.stats.add("energy.array.write",
+    Instr &move = g[kMove];
+    move.stats.add(Stat::CountArrayWrite, bwdWrites - fwdWrites);
+    move.stats.add(Stat::EnergyArrayWrite,
                    (bwdWrites - fwdWrites) *
                        cfg.device.avgWriteEnergy());
     return g;
@@ -281,12 +281,11 @@ updateGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
     // products equals the layer MACs per image; gradient partial sums
     // stream out through the shift-accumulators into the buffers and
     // the updated weights are written back (DRAM when streamed).
-    LayerGroup g;
-    g.instrs.resize(kUpdCount);
-    Instr &mvm = g.instrs[kUpdMvm];
-    Instr &reduce = g.instrs[kUpdReduce];
-    Instr &move = g.instrs[kUpdMove];
-    Instr &sync = g.instrs[kUpdSync];
+    LayerGroup g(kUpdCount);
+    Instr &mvm = g[kUpdMvm];
+    Instr &reduce = g[kUpdReduce];
+    Instr &move = g[kUpdMove];
+    Instr &sync = g[kUpdSync];
     mvm.op = Op::Mvm;
     mvm.unit = Unit::Array;
     reduce.op = Op::Reduce;
@@ -306,8 +305,8 @@ updateGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
         std::ceil(double(batchSize) / double(cfg.stackedPlanes));
 
     const double cellReads = macs * wBits * aBits * images;
-    mvm.stats.add("count.array.read", cellReads);
-    mvm.stats.add("energy.array.read",
+    mvm.stats.add(Stat::CountArrayRead, cellReads);
+    mvm.stats.add(Stat::EnergyArrayRead,
                   cellReads * cfg.device.avgReadEnergy());
 
     // One conversion per (gradient element, bit pair, ADC group); the
@@ -316,29 +315,29 @@ updateGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
     const double conversions = weights * wBits * aBits *
                                double(m.adcGroupsPerOutput) *
                                batchWaves;
-    reduce.stats.add("count.adc", conversions);
-    reduce.stats.add("energy.adc",
+    reduce.stats.add(Stat::CountAdc, conversions);
+    reduce.stats.add(Stat::EnergyAdc,
                      conversions * cfg.adc().energyPerConversion);
-    reduce.stats.add("energy.digital.shift",
+    reduce.stats.add(Stat::EnergyDigitalShift,
                      conversions * cfg.digital.shiftAccumulate);
     // Gradient subtraction (Eq. 4) in the digital domain.
-    reduce.stats.add("energy.digital.adders",
+    reduce.stats.add(Stat::EnergyDigitalAdders,
                      weights * cfg.digital.adder16bit);
 
     // Updated weights written back through buffers (and DRAM).
     const double weightWords =
         words(weights, int(wBits), cfg.buffer.port);
-    move.stats.add("count.buffer.write", weightWords);
-    move.stats.add("energy.buffer.write",
+    move.stats.add(Stat::CountBufferWrite, weightWords);
+    move.stats.add(Stat::EnergyBufferWrite,
                    cfg.buffer.writeEnergy(weightWords));
-    move.stats.add("count.buffer.read", weightWords);
-    move.stats.add("energy.buffer.read",
+    move.stats.add(Stat::CountBufferRead, weightWords);
+    move.stats.add(Stat::EnergyBufferRead,
                    cfg.buffer.readEnergy(weightWords));
     double dramBytes = 0.0;
     if (streamed) {
         dramBytes = weights * wBits / 8.0;
-        move.stats.add("count.dram.bytes", dramBytes);
-        move.stats.add("energy.dram.write",
+        move.stats.add(Stat::CountDramBytes, dramBytes);
+        move.stats.add(Stat::EnergyDramWrite,
                        cfg.dram.accessEnergy(dramBytes));
     }
 
@@ -363,10 +362,9 @@ auxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
 {
     trace::Span span(trace::spanName("inca.aux ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g;
-    g.instrs.resize(2);
-    Instr &act = g.instrs[0];
-    Instr &sync = g.instrs[1];
+    LayerGroup g(2);
+    Instr &act = g[0];
+    Instr &sync = g[1];
     act.op = Op::Activation;
     act.unit = Unit::Digital;
     sync.op = Op::Sync;
@@ -380,10 +378,10 @@ auxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
         if (backward) {
             // AND gate against the stored sign replaces the gradient
             // multiplication (Section IV-C).
-            act.stats.add("energy.digital.post",
+            act.stats.add(Stat::EnergyDigitalPost,
                           outputs * images * cfg.digital.andGate);
         } else {
-            act.stats.add("energy.digital.post",
+            act.stats.add(Stat::EnergyDigitalPost,
                           outputs * images * cfg.digital.reluOp);
         }
         break;
@@ -392,20 +390,20 @@ auxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
         const double window = double(layer.kh) * layer.kw;
         if (backward) {
             // LUT restores the argmax position; other nodes are dead.
-            act.stats.add("energy.digital.post",
+            act.stats.add(Stat::EnergyDigitalPost,
                           outputs * images * cfg.digital.lutLookup);
         } else {
-            act.stats.add("energy.digital.post",
+            act.stats.add(Stat::EnergyDigitalPost,
                           outputs * images * window *
                               cfg.digital.maxPoolCompare);
             // Training must remember argmax positions in the LUT.
-            act.stats.add("energy.digital.post",
+            act.stats.add(Stat::EnergyDigitalPost,
                           outputs * images * cfg.digital.lutLookup);
         }
         break;
       }
       case LayerKind::Add:
-        act.stats.add("energy.digital.post",
+        act.stats.add(Stat::EnergyDigitalPost,
                       outputs * images * cfg.digital.adder8bit);
         break;
       default:
@@ -426,32 +424,43 @@ struct IsBuilder
     int prevEnd = -1;  ///< completion instr of the previous span
     int prevLoad = -1; ///< most recent Load (prefetch ordering)
     int prevData = -1; ///< data-producing instr of the previous span
-    std::vector<int> convEnds; ///< conv-span completions (prefetch cap)
-    std::string prevAct = "act.in";
-    std::string prevGrad = "grad.out";
+    /** The two most recent conv-span completions (prefetch cap). */
+    int lastConvEnd = -1;
+    int priorConvEnd = -1;
+    Operand prevAct;  ///< activations the next forward layer reads
+    Operand prevGrad; ///< errors the next backward layer reads
+
+    /** The span of @p g named @p name; returns its first instr. */
+    Instr *
+    append(const LayerGroup &g, NameId name, LayerKind kind)
+    {
+        const int base =
+            appendSpan(p, g, p.names[name], kind, false, false);
+        return &p.instrs[std::size_t(base)];
+    }
 
     void
-    convForward(const LayerDesc &layer, LayerGroup g)
+    convForward(const LayerDesc &layer, NameId name, const LayerGroup &g)
     {
-        const int base = appendSpan(p, std::move(g), layer.name,
-                                    layer.kind, false, false);
-        Instr &load = p.instrs[std::size_t(base + kLoad)];
-        Instr &mvm = p.instrs[std::size_t(base + kMvm)];
-        Instr &reduce = p.instrs[std::size_t(base + kReduce)];
-        Instr &move = p.instrs[std::size_t(base + kMove)];
-        Instr &sync = p.instrs[std::size_t(base + kSync)];
-        load.label = "load " + layer.name;
-        load.writes = {"w.fetch." + layer.name};
-        mvm.label = "mvm " + layer.name;
-        mvm.reads = {prevAct, "w.fetch." + layer.name};
-        mvm.writes = {"psum." + layer.name};
-        reduce.label = "reduce " + layer.name;
-        reduce.reads = {"psum." + layer.name};
-        reduce.writes = {"out." + layer.name};
-        move.label = "move " + layer.name;
-        move.reads = {"out." + layer.name};
-        move.writes = {"act." + layer.name};
-        sync.label = "sync " + layer.name;
+        Instr *at = append(g, name, layer.kind);
+        const int base = int(at - p.instrs.data());
+        Instr &load = at[kLoad];
+        Instr &mvm = at[kMvm];
+        Instr &reduce = at[kReduce];
+        Instr &move = at[kMove];
+        Instr &sync = at[kSync];
+        load.label = {Verb::Load, name};
+        load.writes = {{Role::WFetch, name}};
+        mvm.label = {Verb::Mvm, name};
+        mvm.reads = {prevAct, {Role::WFetch, name}};
+        mvm.writes = {{Role::Psum, name}};
+        reduce.label = {Verb::Reduce, name};
+        reduce.reads = {{Role::Psum, name}};
+        reduce.writes = {{Role::Out, name}};
+        move.label = {Verb::Move, name};
+        move.reads = {{Role::Out, name}};
+        move.writes = {{Role::Act, name}};
+        sync.label = {Verb::Sync, name};
         if (overlapInf) {
             // Double buffering: the next layer's weights may stream as
             // soon as the DRAM/buffer port is free, bounded two layers
@@ -461,8 +470,8 @@ struct IsBuilder
             // can only shrink.
             if (prevLoad >= 0)
                 load.deps.push_back(prevLoad);
-            if (convEnds.size() >= 2)
-                load.deps.push_back(convEnds[convEnds.size() - 2]);
+            if (priorConvEnd >= 0)
+                load.deps.push_back(priorConvEnd);
             if (prevData >= 0)
                 mvm.deps.push_back(prevData);
             if (prevEnd >= 0)
@@ -473,26 +482,26 @@ struct IsBuilder
         prevEnd = base + kSync;
         prevLoad = base + kLoad;
         prevData = base + kMove;
-        convEnds.push_back(prevEnd);
-        prevAct = "act." + layer.name;
+        priorConvEnd = lastConvEnd;
+        lastConvEnd = prevEnd;
+        prevAct = {Role::Act, name};
     }
 
+    /** @p name is the layer's own name, or its ".bwd" name. */
     void
-    aux(const LayerDesc &layer, LayerGroup g, bool backward)
+    aux(const LayerDesc &layer, NameId name, const LayerGroup &g,
+        bool backward)
     {
-        const std::string name =
-            backward ? layer.name + ".bwd" : layer.name;
-        const int base =
-            appendSpan(p, std::move(g), name, layer.kind, false, false);
-        Instr &act = p.instrs[std::size_t(base)];
-        Instr &sync = p.instrs[std::size_t(base + 1)];
-        act.label = "post " + name;
-        std::string &chain = backward ? prevGrad : prevAct;
-        const std::string out =
-            (backward ? "grad." : "act.") + name;
+        Instr *at = append(g, name, layer.kind);
+        const int base = int(at - p.instrs.data());
+        Instr &act = at[0];
+        Instr &sync = at[1];
+        act.label = {Verb::Post, name};
+        Operand &chain = backward ? prevGrad : prevAct;
+        const Operand out{backward ? Role::Grad : Role::Act, name};
         act.reads = {chain};
         act.writes = {out};
-        sync.label = "sync " + name;
+        sync.label = {Verb::Sync, name};
         if (overlapInf) {
             if (prevData >= 0)
                 act.deps.push_back(prevData);
@@ -506,56 +515,57 @@ struct IsBuilder
         chain = out;
     }
 
+    /** @p name is the layer's name, @p bwd its ".bwd" name. */
     void
-    convBackward(const LayerDesc &layer, LayerGroup g)
+    convBackward(const LayerDesc &layer, NameId name, NameId bwd,
+                 const LayerGroup &g)
     {
-        const std::string name = layer.name + ".bwd";
-        const int base =
-            appendSpan(p, std::move(g), name, layer.kind, false, false);
-        Instr &load = p.instrs[std::size_t(base + kLoad)];
-        Instr &mvm = p.instrs[std::size_t(base + kMvm)];
-        Instr &reduce = p.instrs[std::size_t(base + kReduce)];
-        Instr &move = p.instrs[std::size_t(base + kMove)];
-        Instr &sync = p.instrs[std::size_t(base + kSync)];
-        load.label = "load-T " + layer.name;
-        load.writes = {"wT.fetch." + layer.name};
-        mvm.label = "mvm " + name;
-        mvm.reads = {prevGrad, "wT.fetch." + layer.name};
-        mvm.writes = {"psum." + name};
-        reduce.label = "reduce " + name;
-        reduce.reads = {"psum." + name};
-        reduce.writes = {"err." + layer.name};
-        move.label = "move " + name;
-        move.reads = {"err." + layer.name};
-        move.writes = {"grad." + layer.name};
-        sync.label = "sync " + name;
+        Instr *at = append(g, bwd, layer.kind);
+        const int base = int(at - p.instrs.data());
+        Instr &load = at[kLoad];
+        Instr &mvm = at[kMvm];
+        Instr &reduce = at[kReduce];
+        Instr &move = at[kMove];
+        Instr &sync = at[kSync];
+        load.label = {Verb::LoadT, name};
+        load.writes = {{Role::WTFetch, name}};
+        mvm.label = {Verb::Mvm, bwd};
+        mvm.reads = {prevGrad, {Role::WTFetch, name}};
+        mvm.writes = {{Role::Psum, bwd}};
+        reduce.label = {Verb::Reduce, bwd};
+        reduce.reads = {{Role::Psum, bwd}};
+        reduce.writes = {{Role::Err, name}};
+        move.label = {Verb::Move, bwd};
+        move.reads = {{Role::Err, name}};
+        move.writes = {{Role::Grad, name}};
+        sync.label = {Verb::Sync, bwd};
         chainAfter(p, base, prevEnd);
         prevEnd = base + kSync;
         prevData = base + kMove;
-        prevGrad = "grad." + layer.name;
+        prevGrad = {Role::Grad, name};
     }
 
+    /** @p name is the layer's name, @p upd its ".upd" name. */
     void
-    convUpdate(const LayerDesc &layer, const std::string &inputAct,
-               LayerGroup g)
+    convUpdate(const LayerDesc &layer, Operand inputAct, NameId name,
+               NameId upd, const LayerGroup &g)
     {
-        const std::string name = layer.name + ".upd";
-        const int base =
-            appendSpan(p, std::move(g), name, layer.kind, false, false);
-        Instr &mvm = p.instrs[std::size_t(base + kUpdMvm)];
-        Instr &reduce = p.instrs[std::size_t(base + kUpdReduce)];
-        Instr &move = p.instrs[std::size_t(base + kUpdMove)];
-        Instr &sync = p.instrs[std::size_t(base + kUpdSync)];
-        mvm.label = "mvm " + name;
-        mvm.reads = {inputAct, "grad." + layer.name};
-        mvm.writes = {"psum." + name};
-        reduce.label = "reduce " + name;
-        reduce.reads = {"psum." + name};
-        reduce.writes = {"dw." + layer.name};
-        move.label = "writeback " + layer.name;
-        move.reads = {"dw." + layer.name};
-        move.writes = {"w." + layer.name};
-        sync.label = "sync " + name;
+        Instr *at = append(g, upd, layer.kind);
+        const int base = int(at - p.instrs.data());
+        Instr &mvm = at[kUpdMvm];
+        Instr &reduce = at[kUpdReduce];
+        Instr &move = at[kUpdMove];
+        Instr &sync = at[kUpdSync];
+        mvm.label = {Verb::Mvm, upd};
+        mvm.reads = {inputAct, {Role::Grad, name}};
+        mvm.writes = {{Role::Psum, upd}};
+        reduce.label = {Verb::Reduce, upd};
+        reduce.reads = {{Role::Psum, upd}};
+        reduce.writes = {{Role::Dw, name}};
+        move.label = {Verb::Writeback, name};
+        move.reads = {{Role::Dw, name}};
+        move.writes = {{Role::W, name}};
+        sync.label = {Verb::Sync, upd};
         chainAfter(p, base, prevEnd);
         prevEnd = base + kUpdSync;
     }
@@ -568,6 +578,7 @@ lowerInca(const arch::IncaConfig &cfg, const nn::NetworkDesc &net,
           arch::Phase phase, int batchSize, const LowerOptions &opts)
 {
     inca_assert(batchSize > 0, "batch size must be positive");
+    const bool training = phase == arch::Phase::Training;
     Program p;
     p.network = net.name;
     p.engine = "inca";
@@ -578,51 +589,71 @@ lowerInca(const arch::IncaConfig &cfg, const nn::NetworkDesc &net,
     p.configKeyHash = cfgKey.hash();
     p.idlePower = arch::incaIdlePower(cfg);
     p.overlap = opts.overlap;
-    p.inputs = {"act.in"};
-    if (phase == arch::Phase::Training)
-        p.inputs.push_back("grad.out");
+
+    // Size every table once: a conv-like layer lowers to a 5-instr
+    // span (plus 5 backward and 4 update instrs when training), any
+    // other layer to a 2-instr span (plus 2 backward).
+    const std::size_t layers = net.layers.size();
+    std::size_t convs = 0;
+    for (const LayerDesc &layer : net.layers)
+        convs += layer.isConvLike() ? 1 : 0;
+    const std::size_t auxes = layers - convs;
+    p.instrs.reserve(training ? 14 * convs + 4 * auxes + 1
+                              : 5 * convs + 2 * auxes + 1);
+    p.spans.reserve(training ? 2 * layers + convs : layers);
+    p.names.reserve(training ? 2 + 2 * layers + convs : 1 + layers);
+    p.inputs.reserve(2);
+    p.inputs.push_back({Role::Act, addName(p, "in")});
+    if (training)
+        p.inputs.push_back({Role::Grad, addName(p, "out")});
 
     const bool streamed = incaWeightsStreamed(cfg, net);
     IsBuilder b{p};
+    b.prevAct = p.inputs[0];
+    if (training)
+        b.prevGrad = p.inputs[1];
     // Overlap only relaxes IS inference: training's backward chain is
     // data-serial, and the update/backward concurrency is already
     // folded into the update group's durations.
-    b.overlapInf =
-        opts.overlap && phase == arch::Phase::Inference;
+    b.overlapInf = opts.overlap && !training;
 
-    // Feedforward.
+    // Feedforward. Layer i's name is names[firstLayer + i].
+    const NameId firstLayer = NameId(p.names.size());
     bool first = true;
     // Input-activation operand of each layer, for update groups.
-    std::vector<std::string> layerInput(net.layers.size());
-    for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    std::vector<Operand> layerInput(layers);
+    for (std::size_t i = 0; i < layers; ++i) {
         const LayerDesc &layer = net.layers[i];
+        const NameId name = addName(p, layer.name);
         layerInput[i] = b.prevAct;
         if (layer.isConvLike()) {
-            b.convForward(layer, forwardGroup(cfg, layer, batchSize,
-                                              first, streamed));
+            b.convForward(layer, name,
+                          forwardGroup(cfg, layer, batchSize, first,
+                                       streamed));
             first = false;
         } else {
-            b.aux(layer,
-                  auxGroup(cfg, layer, batchSize, false),
-                  false);
+            b.aux(layer, name,
+                  auxGroup(cfg, layer, batchSize, false), false);
         }
     }
 
     // Backpropagation + weight update, last layer to first.
-    if (phase == arch::Phase::Training) {
-        for (std::size_t r = net.layers.size(); r-- > 0;) {
+    if (training) {
+        for (std::size_t r = layers; r-- > 0;) {
             const LayerDesc &layer = net.layers[r];
+            const NameId name = NameId(firstLayer + r);
+            const NameId bwd = addName(p, layer.name + ".bwd");
             if (layer.isConvLike()) {
-                b.convBackward(layer, backwardGroup(cfg, layer,
-                                                    batchSize,
-                                                    streamed));
-                b.convUpdate(layer, layerInput[r],
+                b.convBackward(layer, name, bwd,
+                               backwardGroup(cfg, layer, batchSize,
+                                             streamed));
+                b.convUpdate(layer, layerInput[r], name,
+                             addName(p, layer.name + ".upd"),
                              updateGroup(cfg, layer, batchSize,
                                          streamed));
             } else {
-                b.aux(layer,
-                      auxGroup(cfg, layer, batchSize, true),
-                      true);
+                b.aux(layer, bwd,
+                      auxGroup(cfg, layer, batchSize, true), true);
             }
         }
     }

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <vector>
 
 #include "arch/power.hh"
 #include "baseline/mapping.hh"
@@ -102,13 +101,12 @@ forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
 {
     trace::Span span(trace::spanName("ws.fwd ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g;
-    g.instrs.resize(kStageCount);
-    Instr &load = g.instrs[kLoad];
-    Instr &mvm = g.instrs[kMvm];
-    Instr &reduce = g.instrs[kReduce];
-    Instr &move = g.instrs[kMove];
-    Instr &sync = g.instrs[kSync];
+    LayerGroup g(kStageCount);
+    Instr &load = g[kLoad];
+    Instr &mvm = g[kMvm];
+    Instr &reduce = g[kReduce];
+    Instr &move = g[kMove];
+    Instr &sync = g[kSync];
     load.op = Op::Load;
     load.unit = Unit::Buffer;
     mvm.op = Op::Mvm;
@@ -139,33 +137,33 @@ forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
                                double(m.colTiles) * s *
                                double(m.channelGroups);
     const double cellReads = activations * activeCells * images;
-    mvm.stats.add("count.array.read", cellReads);
-    mvm.stats.add("energy.array.read",
+    mvm.stats.add(Stat::CountArrayRead, cellReads);
+    mvm.stats.add(Stat::EnergyArrayRead,
                   cellReads * cfg.device.avgReadEnergy());
 
     // --- ADC: every column of every active array converts each cycle.
     const double conversions =
         activations * double(m.arrays()) * s * images;
-    reduce.stats.add("count.adc", conversions);
-    reduce.stats.add("energy.adc",
+    reduce.stats.add(Stat::CountAdc, conversions);
+    reduce.stats.add(Stat::EnergyAdc,
                      conversions * cfg.adc().energyPerConversion);
 
     // --- DAC drivers on the used rows.
-    mvm.stats.add("energy.dac",
+    mvm.stats.add(Stat::EnergyDac,
                   activations * double(m.usedRows) *
                       double(m.channelGroups) * images *
                       circuit::makeDac().energyPerActivation);
 
     // --- Digital: shift-accumulate per conversion, adders joining
     // row tiles, output registers.
-    reduce.stats.add("energy.digital.shift",
+    reduce.stats.add(Stat::EnergyDigitalShift,
                      conversions * cfg.digital.shiftAccumulate);
     const double outputs = double(layer.outputCount());
-    reduce.stats.add("energy.digital.adders",
+    reduce.stats.add(Stat::EnergyDigitalAdders,
                      outputs * aBits * images *
                          circuit::adderTreeEnergy(cfg.digital,
                                                   double(m.rowTiles)));
-    reduce.stats.add("energy.digital.register",
+    reduce.stats.add(Stat::EnergyDigitalRegister,
                      outputs * images * 2.0 *
                          cfg.digital.registerAccess);
 
@@ -179,11 +177,11 @@ forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         double(m.windows) * images;
     const double saveWords_ =
         double(dataflow::saveWords(layer, acc)) * images;
-    load.stats.add("count.buffer.read", fetchWords);
-    load.stats.add("energy.buffer.read",
+    load.stats.add(Stat::CountBufferRead, fetchWords);
+    load.stats.add(Stat::EnergyBufferRead,
                    cfg.buffer.readEnergy(fetchWords));
-    move.stats.add("count.buffer.write", saveWords_);
-    move.stats.add("energy.buffer.write",
+    move.stats.add(Stat::CountBufferWrite, saveWords_);
+    move.stats.add(Stat::EnergyBufferWrite,
                    cfg.buffer.writeEnergy(saveWords_));
 
     // --- DRAM: activations that exceed the stage's buffer share spill
@@ -192,8 +190,8 @@ forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
     const double spill =
         std::max(0.0, outBytes - wsBufferShare(cfg, net, layer));
     double dramBytes = 2.0 * spill * images;
-    move.stats.add("count.dram.bytes", dramBytes);
-    move.stats.add("energy.dram.activation",
+    move.stats.add(Stat::CountDramBytes, dramBytes);
+    move.stats.add(Stat::EnergyDramActivation,
                    cfg.dram.accessEnergy(dramBytes));
 
     // --- Latency per image: windows stream through the crossbars one
@@ -212,10 +210,9 @@ auxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
 {
     trace::Span span(trace::spanName("ws.aux ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g;
-    g.instrs.resize(2);
-    Instr &act = g.instrs[0];
-    Instr &sync = g.instrs[1];
+    LayerGroup g(2);
+    Instr &act = g[0];
+    Instr &sync = g[1];
     act.op = Op::Activation;
     act.unit = Unit::Digital;
     sync.op = Op::Sync;
@@ -226,17 +223,17 @@ auxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
     const double outputs = double(layer.outputCount());
     switch (layer.kind) {
       case LayerKind::ReLU:
-        act.stats.add("energy.digital.post",
+        act.stats.add(Stat::EnergyDigitalPost,
                       outputs * images * cfg.digital.reluOp);
         break;
       case LayerKind::MaxPool:
       case LayerKind::AvgPool:
-        act.stats.add("energy.digital.post",
+        act.stats.add(Stat::EnergyDigitalPost,
                       outputs * images * double(layer.kh) * layer.kw *
                           cfg.digital.maxPoolCompare);
         break;
       case LayerKind::Add:
-        act.stats.add("energy.digital.post",
+        act.stats.add(Stat::EnergyDigitalPost,
                       outputs * images * cfg.digital.adder8bit);
         break;
       default:
@@ -254,14 +251,14 @@ withArrayStore(LayerGroup g, double cellWrites, Joules energy,
     Instr store;
     store.op = Op::Move;
     store.unit = Unit::Array;
-    store.stats.add("count.array.write", cellWrites);
-    store.stats.add("energy.array.write", energy);
+    store.stats.add(Stat::CountArrayWrite, cellWrites);
+    store.stats.add(Stat::EnergyArrayWrite, energy);
     store.duration = duration;
     store.deps = {dep};
-    Instr sync = std::move(g.instrs.back());
+    Instr sync = g[g.count - 1];
     sync.deps.push_back(kExtra);
-    g.instrs.back() = std::move(store);
-    g.instrs.push_back(std::move(sync));
+    g[g.count - 1] = store;
+    g.push_back(sync);
     return g;
 }
 
@@ -270,11 +267,10 @@ LayerGroup
 reloadGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
             bool training)
 {
-    LayerGroup g;
-    g.instrs.resize(3);
-    Instr &load = g.instrs[0];
-    Instr &move = g.instrs[1];
-    Instr &sync = g.instrs[2];
+    LayerGroup g(3);
+    Instr &load = g[0];
+    Instr &move = g[1];
+    Instr &sync = g[2];
     load.op = Op::Load;
     load.unit = Unit::Dram;
     move.op = Op::Move;
@@ -291,9 +287,10 @@ reloadGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         (training ? 2.0 : 1.0) * double(net.totalWeights()) *
         cfg.weightBits;
     const double bytes = weightBits / 8.0;
-    load.stats.add("count.dram.bytes", bytes);
-    load.stats.add("energy.dram.weights", cfg.dram.accessEnergy(bytes));
-    move.stats.add("energy.array.write",
+    load.stats.add(Stat::CountDramBytes, bytes);
+    load.stats.add(Stat::EnergyDramWeights,
+                   cfg.dram.accessEnergy(bytes));
+    move.stats.add(Stat::EnergyArrayWrite,
                    weightBits * cfg.device.avgWriteEnergy());
     load.duration = cfg.dram.streamTime(bytes);
     return g;
@@ -301,27 +298,61 @@ reloadGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
 
 /** Label + operand assignment for a conv stage span at @p base. */
 void
-nameStage(Program &p, int base, const std::string &name,
-          const std::string &in, const std::string &weights,
-          const std::string &out, int count)
+nameStage(Program &p, int base, NameId name, Operand in, Operand weights,
+          Operand out, int count)
 {
     Instr &load = p.instrs[std::size_t(base + kLoad)];
     Instr &mvm = p.instrs[std::size_t(base + kMvm)];
     Instr &reduce = p.instrs[std::size_t(base + kReduce)];
     Instr &move = p.instrs[std::size_t(base + kMove)];
-    load.label = "fetch " + name;
+    load.label = {Verb::Fetch, name};
     load.reads = {in};
-    load.writes = {"fetch." + name};
-    mvm.label = "mvm " + name;
-    mvm.reads = {"fetch." + name, weights};
-    mvm.writes = {"psum." + name};
-    reduce.label = "reduce " + name;
-    reduce.reads = {"psum." + name};
-    reduce.writes = {"out." + name};
-    move.label = "save " + name;
-    move.reads = {"out." + name};
+    load.writes = {{Role::Fetch, name}};
+    mvm.label = {Verb::Mvm, name};
+    mvm.reads = {{Role::Fetch, name}, weights};
+    mvm.writes = {{Role::Psum, name}};
+    reduce.label = {Verb::Reduce, name};
+    reduce.reads = {{Role::Psum, name}};
+    reduce.writes = {{Role::Out, name}};
+    move.label = {Verb::Save, name};
+    move.reads = {{Role::Out, name}};
     move.writes = {out};
-    p.instrs[std::size_t(base + count - 1)].label = "sync " + name;
+    p.instrs[std::size_t(base + count - 1)].label = {Verb::Sync, name};
+}
+
+/** Append the weight-reload span and chain it after @p prevEnd;
+ *  returns its completion. @p stream names the streamed weights. */
+int
+appendReload(Program &p, const LayerGroup &g, NameId stream,
+             int prevEnd)
+{
+    const int base = appendSpan(p, g, "weight-reload", LayerKind::Conv,
+                                false, false);
+    Instr &load = p.instrs[std::size_t(base)];
+    Instr &program = p.instrs[std::size_t(base + 1)];
+    load.label = {Verb::StreamWeightsAll, kNoName};
+    load.writes = {{Role::W, stream}};
+    program.label = {Verb::ProgramWeightsAll, kNoName};
+    program.reads = {{Role::W, stream}};
+    p.instrs[std::size_t(base + 2)].label = {Verb::SyncReload, kNoName};
+    chainAfter(p, base, prevEnd);
+    return int(p.instrs.size()) - 1;
+}
+
+/** Append a one-instruction synthetic pipeline span of @p duration,
+ *  labelled @p label, chained after @p prevEnd; returns its index. */
+int
+appendPipelineSpan(Program &p, const std::string &span, Label label,
+                   nn::LayerKind kind, Seconds duration, int prevEnd)
+{
+    LayerGroup g(1);
+    g[0].op = Op::Sync;
+    g[0].unit = Unit::Pipeline;
+    g[0].duration = duration;
+    const int base = appendSpan(p, g, span, kind, true, false);
+    p.instrs[std::size_t(base)].label = label;
+    chainAfter(p, base, prevEnd);
+    return base;
 }
 
 } // namespace
@@ -344,49 +375,71 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
     // The WS pipeline already overlaps analytically (fill + drain);
     // the overlap flag does not change its program.
     p.overlap = opts.overlap;
-    p.inputs = {"act.in"};
-    if (training)
-        p.inputs.push_back("grad.out");
-    for (const auto &layer : net.layers) {
+
+    // Size every table once. Inference: a 5-instr span per conv-like
+    // layer, 2 per other layer. Training: per conv-like layer the
+    // fwd/bwd/upd stages (5 + 6 + 6) and a pipe instr, per other layer
+    // two 2-instr passes. Then the drain, the reload and the exit.
+    const std::size_t layers = net.layers.size();
+    std::size_t convs = 0;
+    for (const LayerDesc &layer : net.layers)
+        convs += layer.isConvLike() ? 1 : 0;
+    const std::size_t auxes = layers - convs;
+    p.instrs.reserve(training ? 18 * convs + 4 * auxes + 5
+                              : 5 * convs + 2 * auxes + 5);
+    p.spans.reserve(training ? 4 * convs + 2 * auxes + 2 : layers + 2);
+    p.names.reserve(training ? 3 + 2 * layers + convs : 2 + layers);
+    p.inputs.reserve(training ? 2 + 2 * convs : 1 + convs);
+    const Operand actIn{Role::Act, addName(p, "in")};
+    const NameId stream = addName(p, "stream");
+    p.inputs.push_back(actIn);
+    Operand gradOut;
+    if (training) {
+        gradOut = {Role::Grad, addName(p, "out")};
+        p.inputs.push_back(gradOut);
+    }
+    // Layer i's name is names[firstLayer + i].
+    const NameId firstLayer = NameId(p.names.size());
+    for (std::size_t i = 0; i < layers; ++i) {
+        const LayerDesc &layer = net.layers[i];
+        const NameId name = addName(p, layer.name);
         if (!layer.isConvLike())
             continue;
-        p.inputs.push_back("w." + layer.name);
+        p.inputs.push_back({Role::W, name});
         if (training)
-            p.inputs.push_back("wT." + layer.name);
+            p.inputs.push_back({Role::WT, name});
     }
 
     int prevEnd = -1;     ///< last critical-chain completion
     int postedEnd = -1;   ///< last off-critical (posted) completion
-    std::string prevAct = "act.in";
+    Operand prevAct = actIn;
 
     if (!training) {
         // The serial span chain embodies the analytic fill time.
         Seconds slowest = 0.0;
         Seconds stageSum = 0.0;
         int stages = 0;
-        for (const auto &layer : net.layers) {
+        for (std::size_t i = 0; i < layers; ++i) {
+            const LayerDesc &layer = net.layers[i];
+            const NameId name = NameId(firstLayer + i);
             int base;
             if (layer.isConvLike()) {
                 base = appendSpan(
                     p, forwardGroup(cfg, net, layer, batchSize),
                     layer.name, layer.kind, false, false);
-                nameStage(p, base, layer.name, prevAct,
-                          "w." + layer.name, "act." + layer.name,
-                          kStageCount);
-                prevAct = "act." + layer.name;
+                nameStage(p, base, name, prevAct, {Role::W, name},
+                          {Role::Act, name}, kStageCount);
             } else {
-                base = appendSpan(p,
-                                  auxGroup(cfg, layer,
-                                           batchSize),
+                base = appendSpan(p, auxGroup(cfg, layer, batchSize),
                                   layer.name, layer.kind, false, false);
                 Instr &act = p.instrs[std::size_t(base)];
-                act.label = "post " + layer.name;
+                act.label = {Verb::Post, name};
                 act.reads = {prevAct};
-                act.writes = {"act." + layer.name};
-                p.instrs[std::size_t(base + 1)].label =
-                    "sync " + layer.name;
-                prevAct = "act." + layer.name;
+                act.writes = {{Role::Act, name}};
+                p.instrs[std::size_t(base + 1)].label = {Verb::Sync,
+                                                         name};
             }
+            prevAct = {Role::Act, name};
             chainAfter(p, base, prevEnd);
             prevEnd = int(p.instrs.size()) - 1;
             // Per-image stage time; the pipeline overlaps images.
@@ -412,33 +465,15 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
 
         // Weight reloading when the model exceeds on-chip RRAM:
         // stream the weights from DRAM and reprogram once per batch.
-        if (wsWeightsReloaded(cfg, net, false)) {
-            const int base =
-                appendSpan(p, reloadGroup(cfg, net, false),
-                           "weight-reload", LayerKind::Conv, false,
-                           false);
-            p.instrs[std::size_t(base)].label = "stream weights";
-            p.instrs[std::size_t(base)].writes = {"w.stream"};
-            p.instrs[std::size_t(base + 1)].label = "program weights";
-            p.instrs[std::size_t(base + 1)].reads = {"w.stream"};
-            p.instrs[std::size_t(base + 2)].label = "sync reload";
-            chainAfter(p, base, prevEnd);
-            prevEnd = int(p.instrs.size()) - 1;
-        }
+        if (wsWeightsReloaded(cfg, net, false))
+            prevEnd = appendReload(p, reloadGroup(cfg, net, false),
+                                   stream, prevEnd);
 
         // ISAAC pipelining: fill once (the serial span chain above),
         // then one image per slowest stage -- the drain span.
-        LayerGroup drain;
-        drain.instrs.resize(1);
-        drain.instrs[0].op = Op::Sync;
-        drain.instrs[0].unit = Unit::Pipeline;
-        drain.instrs[0].duration =
-            double(batchSize - 1) * slowest;
-        const int base = appendSpan(p, std::move(drain), "drain",
-                                    LayerKind::Conv, true, false);
-        p.instrs[std::size_t(base)].label = "drain";
-        chainAfter(p, base, prevEnd);
-        prevEnd = base;
+        prevEnd = appendPipelineSpan(
+            p, "drain", {Verb::Drain, kNoName}, LayerKind::Conv,
+            double(batchSize - 1) * slowest, prevEnd);
     } else {
         // Forward, error backpropagation, and weight-gradient passes
         // all run on the crossbars with comparable window/bit-cycle
@@ -452,21 +487,24 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         // critical chain is pipe spans -> drain -> reload.
         Seconds slowest = 0.0;
         const double passes = 3.0;
-        for (const auto &layer : net.layers) {
+        for (std::size_t i = 0; i < layers; ++i) {
+            const LayerDesc &layer = net.layers[i];
+            const NameId name = NameId(firstLayer + i);
+            const NameId bwd = addName(p, layer.name + ".bwd");
             if (layer.isConvLike()) {
+                const NameId upd = addName(p, layer.name + ".upd");
                 const LayerGroup fwd =
                     forwardGroup(cfg, net, layer, batchSize);
 
                 int base = appendSpan(p, fwd, layer.name, layer.kind,
                                       false, true);
-                nameStage(p, base, layer.name, prevAct,
-                          "w." + layer.name, "act." + layer.name,
-                          kStageCount);
+                nameStage(p, base, name, prevAct, {Role::W, name},
+                          {Role::Act, name}, kStageCount);
                 chainAfter(p, base, postedEnd);
                 postedEnd = int(p.instrs.size()) - 1;
                 const Seconds stage =
                     spanLatency(p, p.spans.back());
-                prevAct = "act." + layer.name;
+                prevAct = {Role::Act, name};
 
                 // The backward pass reads the transposed-weight copy;
                 // the update pass writes activations/errors to RRAM
@@ -483,14 +521,13 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
                                    actWrites *
                                        cfg.device.avgWriteEnergy(),
                                    0.0, kMove),
-                    layer.name + ".bwd", layer.kind, false, true);
-                nameStage(p, base, layer.name + ".bwd", "grad.out",
-                          "wT." + layer.name, "grad." + layer.name,
-                          kStageCount + 1);
-                p.instrs[std::size_t(base + kExtra)].label =
-                    "store-acts " + layer.name;
+                    p.names[bwd], layer.kind, false, true);
+                nameStage(p, base, bwd, gradOut, {Role::WT, name},
+                          {Role::Grad, name}, kStageCount + 1);
+                p.instrs[std::size_t(base + kExtra)].label = {
+                    Verb::StoreActs, name};
                 p.instrs[std::size_t(base + kExtra)].reads = {
-                    "grad." + layer.name};
+                    {Role::Grad, name}};
                 chainAfter(p, base, postedEnd);
                 postedEnd = int(p.instrs.size()) - 1;
 
@@ -505,14 +542,14 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
                                        ? cfg.device.tWrite
                                        : 0.0,
                                    kMove),
-                    layer.name + ".upd", layer.kind, false, true);
-                nameStage(p, base, layer.name + ".upd",
-                          "grad." + layer.name, "w." + layer.name,
-                          "dw." + layer.name, kStageCount + 1);
-                p.instrs[std::size_t(base + kExtra)].label =
-                    "program-weights " + layer.name;
+                    p.names[upd], layer.kind, false, true);
+                nameStage(p, base, upd, {Role::Grad, name},
+                          {Role::W, name}, {Role::Dw, name},
+                          kStageCount + 1);
+                p.instrs[std::size_t(base + kExtra)].label = {
+                    Verb::ProgramWeights, name};
                 p.instrs[std::size_t(base + kExtra)].reads = {
-                    "dw." + layer.name};
+                    {Role::Dw, name}};
                 chainAfter(p, base, postedEnd);
                 postedEnd = int(p.instrs.size()) - 1;
 
@@ -520,73 +557,44 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
 
                 // Critical chain: three pipelined passes of this
                 // stage (fill += passes * stage).
-                LayerGroup pipe;
-                pipe.instrs.resize(1);
-                pipe.instrs[0].op = Op::Sync;
-                pipe.instrs[0].unit = Unit::Pipeline;
-                pipe.instrs[0].duration = passes * stage;
-                base = appendSpan(p, std::move(pipe),
-                                  "pipe." + layer.name, layer.kind,
-                                  true, false);
-                p.instrs[std::size_t(base)].label =
-                    "pipe " + layer.name;
-                chainAfter(p, base, prevEnd);
-                prevEnd = base;
+                prevEnd = appendPipelineSpan(
+                    p, "pipe." + layer.name, {Verb::Pipe, name},
+                    layer.kind, passes * stage, prevEnd);
             } else {
                 const LayerGroup aux =
                     auxGroup(cfg, layer, batchSize);
-                for (int pass = 0; pass < 2; ++pass) {
-                    const bool bwd = pass == 1;
-                    const std::string name =
-                        bwd ? layer.name + ".bwd" : layer.name;
+                for (const NameId pass : {name, bwd}) {
+                    const bool backward = pass == bwd;
                     const int base =
-                        appendSpan(p, aux, name, layer.kind, false,
-                                   true);
+                        appendSpan(p, aux, p.names[pass], layer.kind,
+                                   false, true);
                     Instr &act = p.instrs[std::size_t(base)];
-                    act.label = "post " + name;
-                    act.reads = {bwd ? std::string("grad.out")
-                                     : prevAct};
+                    act.label = {Verb::Post, pass};
+                    act.reads = {backward ? gradOut : prevAct};
                     act.writes = {
-                        (bwd ? "grad." : "act.") + name};
-                    p.instrs[std::size_t(base + 1)].label =
-                        "sync " + name;
+                        {backward ? Role::Grad : Role::Act, pass}};
+                    p.instrs[std::size_t(base + 1)].label = {Verb::Sync,
+                                                             pass};
                     chainAfter(p, base, postedEnd);
                     postedEnd = int(p.instrs.size()) - 1;
-                    if (!bwd)
-                        prevAct = "act." + name;
+                    if (!backward)
+                        prevAct = {Role::Act, pass};
                 }
             }
         }
 
         // Images pipeline through the three passes at the unbalanced
         // slowest stage.
-        LayerGroup drain;
-        drain.instrs.resize(1);
-        drain.instrs[0].op = Op::Sync;
-        drain.instrs[0].unit = Unit::Pipeline;
-        drain.instrs[0].duration =
-            double(batchSize - 1) * passes * slowest;
-        int base = appendSpan(p, std::move(drain), "drain",
-                              LayerKind::Conv, true, false);
-        p.instrs[std::size_t(base)].label = "drain";
-        chainAfter(p, base, prevEnd);
-        prevEnd = base;
+        prevEnd = appendPipelineSpan(
+            p, "drain", {Verb::Drain, kNoName}, LayerKind::Conv,
+            double(batchSize - 1) * passes * slowest, prevEnd);
 
         // The reload LayerCost lands after the per-layer rows, as the
         // engine ordered it; its latency joins the total by one
         // commuted addition (see file comment).
-        if (wsWeightsReloaded(cfg, net, true)) {
-            base = appendSpan(p, reloadGroup(cfg, net, true),
-                              "weight-reload", LayerKind::Conv, false,
-                              false);
-            p.instrs[std::size_t(base)].label = "stream weights";
-            p.instrs[std::size_t(base)].writes = {"w.stream"};
-            p.instrs[std::size_t(base + 1)].label = "program weights";
-            p.instrs[std::size_t(base + 1)].reads = {"w.stream"};
-            p.instrs[std::size_t(base + 2)].label = "sync reload";
-            chainAfter(p, base, prevEnd);
-            prevEnd = int(p.instrs.size()) - 1;
-        }
+        if (wsWeightsReloaded(cfg, net, true))
+            prevEnd = appendReload(p, reloadGroup(cfg, net, true),
+                                   stream, prevEnd);
     }
 
     sealProgram(p, prevEnd);

@@ -232,16 +232,16 @@ applyWriteVerify(arch::RunCost &run, const MitigationSpec &spec,
     const Joules verifyEnergy = device.avgReadEnergy();
 
     for (auto &layer : run.layers) {
-        const double writes = layer.stats.sumPrefix("count.array.write");
+        const double writes = layer.stats.get(Stat::CountArrayWrite);
         if (writes <= 0.0)
             continue;
         const double extraPulses = writes * cost.extraPulsesPerWrite;
         const double verifyReads = writes * cost.verifyReadsPerWrite;
         const Joules energy =
             extraPulses * pulseEnergy + verifyReads * verifyEnergy;
-        layer.stats.add("count.reliability.extra_pulse", extraPulses);
-        layer.stats.add("count.reliability.verify_read", verifyReads);
-        layer.stats.add("energy.reliability.write_verify", energy);
+        layer.stats.add(Stat::CountReliabilityExtraPulse, extraPulses);
+        layer.stats.add(Stat::CountReliabilityVerifyRead, verifyReads);
+        layer.stats.add(Stat::EnergyReliabilityWriteVerify, energy);
         // Extra pulses and verify reads serialize on each array's
         // write port; the chip's arrays work in parallel.
         const Seconds latency =

@@ -1,9 +1,10 @@
 #include "sim/export.hh"
 
+#include <array>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/export_util.hh"
 #include "common/logging.hh"
@@ -21,14 +22,19 @@ num(double v)
     return buf;
 }
 
-std::set<std::string>
-allStatKeys(const arch::RunCost &run)
+/** Every stat some layer of @p run holds, in name order. */
+std::vector<Stat>
+allStats(const arch::RunCost &run)
 {
-    std::set<std::string> keys;
+    std::array<bool, kStatCount> held{};
     for (const auto &layer : run.layers)
-        for (const auto &[key, value] : layer.stats.entries())
-            keys.insert(key);
-    return keys;
+        for (const auto [stat, value] : layer.stats)
+            held[std::size_t(stat)] = true;
+    std::vector<Stat> stats;
+    for (int i = 0; i < kStatCount; ++i)
+        if (held[std::size_t(i)])
+            stats.push_back(Stat(i));
+    return stats;
 }
 
 } // namespace
@@ -36,18 +42,18 @@ allStatKeys(const arch::RunCost &run)
 std::string
 toCsv(const arch::RunCost &run)
 {
-    const auto keys = allStatKeys(run);
+    const std::vector<Stat> stats = allStats(run);
     std::ostringstream os;
     os << "layer,kind,latency_s,energy_J";
-    for (const auto &key : keys)
-        os << "," << csvField(key);
+    for (const Stat stat : stats)
+        os << "," << statName(stat);
     os << "\n";
     for (const auto &layer : run.layers) {
         os << csvField(layer.name) << ","
            << nn::layerKindName(layer.kind) << ","
            << num(layer.latency) << "," << num(layer.energy());
-        for (const auto &key : keys)
-            os << "," << num(layer.stats.get(key));
+        for (const Stat stat : stats)
+            os << "," << num(layer.stats.get(stat));
         os << "\n";
     }
     return os.str();
@@ -89,11 +95,11 @@ toJson(const arch::RunCost &run, const std::string &extras)
            << ", \"energy_J\": " << num(layer.energy())
            << ", \"stats\": {";
         bool first = true;
-        for (const auto &[key, value] : layer.stats.entries()) {
+        for (const auto [stat, value] : layer.stats) {
             if (!first)
                 os << ", ";
             first = false;
-            os << "\"" << jsonEscape(key) << "\": " << num(value);
+            os << "\"" << statName(stat) << "\": " << num(value);
         }
         os << "}}" << (i + 1 < run.layers.size() ? "," : "") << "\n";
     }

@@ -505,7 +505,7 @@ TEST(Journal, EvalLineRoundTrips)
         w.append(e);
     }
     JournalContents contents;
-    ASSERT_TRUE(readJournal(path, contents));
+    ASSERT_TRUE(readJournal(path, header, 2, contents));
     EXPECT_EQ(contents.header.signature, "sig");
     EXPECT_EQ(contents.header.spaceSize, 42u);
     EXPECT_FALSE(contents.truncatedTail);
@@ -569,8 +569,11 @@ TEST(Journal, TornTailTolerated)
         out << "{\"type\":\"eval\",\"index\":1,\"feasib";
     }
     JournalContents contents;
-    ASSERT_TRUE(readJournal(path, contents));
+    ASSERT_TRUE(readJournal(path, header, 1, contents));
     EXPECT_TRUE(contents.truncatedTail);
+    EXPECT_EQ(contents.completeBytes,
+              header.toJsonLine().size() + 1 +
+                  evalToJsonLine(point(0, {1.0})).size() + 1);
     EXPECT_EQ(contents.evals.size(), 1u);
     EXPECT_EQ(contents.evals.count(0), 1u);
     std::remove(path.c_str());
@@ -579,8 +582,9 @@ TEST(Journal, TornTailTolerated)
 TEST(Journal, MissingFileReturnsFalse)
 {
     JournalContents contents;
-    EXPECT_FALSE(readJournal(
-        ::testing::TempDir() + "/does_not_exist.jsonl", contents));
+    EXPECT_FALSE(readJournal(::testing::TempDir() +
+                                 "/does_not_exist.jsonl",
+                             JournalHeader{}, 2, contents));
 }
 
 // ---------------------------------------------------------------
@@ -848,6 +852,115 @@ TEST(Explorer, ResumeMatchesUninterrupted)
 
     std::remove(full.c_str());
     std::remove(torn.c_str());
+}
+
+/** explore --strategy random --seed 7 --budget 8 --journal J, with
+ *  --resume when @p resume. */
+ExploreOptions
+seed7Budget8(const std::string &journal, bool resume)
+{
+    ExploreOptions opt = randomSeed7Options();
+    opt.budget = 8;
+    opt.journalPath = journal;
+    opt.resume = resume;
+    return opt;
+}
+
+/** @p line with the value of "@p key" replaced by @p value. */
+std::string
+withValue(std::string line, const std::string &key,
+          const std::string &value)
+{
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = line.find(needle) + needle.size();
+    const std::size_t end = line[at] == '['
+                                ? line.find(']', at) + 1
+                                : line.find_first_of(",}", at);
+    return line.replace(at, end - at, value);
+}
+
+TEST(Explorer, ResumeAfterATornTailScoresOnlyTheRest)
+{
+    // A kill mid-write leaves a final line that does not parse: resume
+    // drops it and scores only that candidate again.
+    const std::string journal =
+        ::testing::TempDir() + "/dse_torn_tail.jsonl";
+    Explorer full(defaultSpace(EngineKind::Inca),
+                  seed7Budget8(journal, false));
+    const std::string want = csvOf(full, full.run());
+    const std::vector<std::string> lines = readLines(journal);
+    ASSERT_EQ(lines.size(), 9u);
+    {
+        std::ofstream out(journal);
+        for (std::size_t i = 0; i + 1 < lines.size(); ++i)
+            out << lines[i] << "\n";
+        out << lines.back().substr(0, lines.back().size() / 2);
+    }
+    Explorer resumed(defaultSpace(EngineKind::Inca),
+                     seed7Budget8(journal, true));
+    const ExploreResult got = resumed.run();
+    EXPECT_EQ(got.reused, 7u);
+    EXPECT_EQ(got.scored, 1u);
+    EXPECT_EQ(csvOf(resumed, got), want);
+
+    // The torn fragment was cut, not glued to the rescored line: the
+    // journal is whole again and a second resume scores nothing.
+    EXPECT_EQ(readLines(journal), lines);
+    Explorer again(defaultSpace(EngineKind::Inca),
+                   seed7Budget8(journal, true));
+    const ExploreResult replay = again.run();
+    EXPECT_EQ(replay.reused, 8u);
+    EXPECT_EQ(csvOf(again, replay), want);
+    std::remove(journal.c_str());
+}
+
+TEST(ExplorerDeath, ResumeRejectsLinesForeignToTheRun)
+{
+    // Each mutated line 2 below parses, but the writer never writes
+    // it for this run (96 candidates, 3 objectives, finite numbers):
+    // resume names the journal, the line and the field instead of
+    // aborting, dropping the line or replaying it.
+    const std::string journal =
+        ::testing::TempDir() + "/dse_foreign_line.jsonl";
+    {
+        Explorer explorer(defaultSpace(EngineKind::Inca),
+                          seed7Budget8(journal, false));
+        explorer.run();
+    }
+    const std::vector<std::string> lines = readLines(journal);
+    ASSERT_EQ(lines.size(), 9u);
+    struct Mutation
+    {
+        const char *key;
+        const char *value;
+        const char *message;
+    };
+    const Mutation mutations[] = {
+        {"objectives", "[1,2,3,4]", "objectives holds 4 values"},
+        {"objectives", "[1,2]", "objectives holds 2 values"},
+        {"objectives", "[]", "objectives holds 0 values"},
+        {"index", "99999", "index 99999 is not a candidate"},
+        {"index", "-53", "index -53 is not a candidate"},
+        {"index", "18446744073709551616",
+         "index 18446744073709551616 is not a candidate"},
+        {"energy_j", "1e999", "energy_j is not finite"},
+    };
+    for (const Mutation &m : mutations) {
+        SCOPED_TRACE(std::string(m.key) + "=" + m.value);
+        {
+            std::ofstream out(journal);
+            for (std::size_t i = 0; i < lines.size(); ++i)
+                out << (i == 1 ? withValue(lines[i], m.key, m.value)
+                               : lines[i])
+                    << "\n";
+        }
+        Explorer resumed(defaultSpace(EngineKind::Inca),
+                         seed7Budget8(journal, true));
+        EXPECT_DEATH(resumed.run(),
+                     std::string("dse_foreign_line\\.jsonl' line 2: ") +
+                         m.message);
+    }
+    std::remove(journal.c_str());
 }
 
 TEST(ExplorerDeath, ForeignJournalIsFatal)

@@ -47,9 +47,9 @@ TEST_F(Engines, EveryConvLayerHasCosts)
     const RunCost run = inca.inference(net, 64);
     for (const auto &layer : run.layers) {
         if (layer.kind == nn::LayerKind::Conv) {
-            EXPECT_GT(layer.stats.get("count.array.read"), 0.0)
+            EXPECT_GT(layer.stats.get(Stat::CountArrayRead), 0.0)
                 << layer.name;
-            EXPECT_GT(layer.stats.get("count.adc"), 0.0) << layer.name;
+            EXPECT_GT(layer.stats.get(Stat::CountAdc), 0.0) << layer.name;
             EXPECT_GT(layer.energy(), 0.0) << layer.name;
         }
     }
@@ -163,9 +163,9 @@ TEST_F(Engines, IncaWritesNoActivationsToBuffers)
         // 11 MB exceeds the 10.5 MB on-chip buffer, so some writes
         // exist -- but output activations never hit the buffer, so a
         // writing layer must also be a weight-reading layer.
-        const double writes = layer.stats.get("count.buffer.write");
+        const double writes = layer.stats.get(Stat::CountBufferWrite);
         if (writes > 0.0) {
-            EXPECT_GT(layer.stats.get("count.buffer.read"), 0.0)
+            EXPECT_GT(layer.stats.get(Stat::CountBufferRead), 0.0)
                 << layer.name;
         }
     }
@@ -287,11 +287,11 @@ TEST_F(Engines, DepthwiseLayersAreCheapOnInca)
     double iDw = 0.0, bDw = 0.0;
     for (const auto &l : i.layers) {
         if (l.kind == nn::LayerKind::Depthwise)
-            iDw += l.stats.sumPrefix("energy.adc");
+            iDw += l.stats.sum(statPrefix("energy.adc"));
     }
     for (const auto &l : b.layers) {
         if (l.kind == nn::LayerKind::Depthwise)
-            bDw += l.stats.sumPrefix("energy.adc");
+            bDw += l.stats.sum(statPrefix("energy.adc"));
     }
     EXPECT_GT(bDw, 20.0 * iDw);
 }

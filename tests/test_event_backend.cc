@@ -63,8 +63,8 @@ transcript(const arch::RunCost &run)
         out += layer.name + " k" +
                std::to_string(int(layer.kind)) + " t=";
         num(layer.latency);
-        for (const auto &[stat, value] : layer.stats.entries()) {
-            out += " " + stat + "=";
+        for (const auto [stat, value] : layer.stats) {
+            out += " " + std::string(statName(stat)) + "=";
             num(value);
         }
         out += "\n";
@@ -199,8 +199,7 @@ TEST(EventBackendTest, OverlapOnNeverSlowerAndEnergyUnchanged)
         EXPECT_EQ(on.sum("energy"), off.sum("energy"));
         ASSERT_EQ(on.layers.size(), off.layers.size());
         for (std::size_t i = 0; i < off.layers.size(); ++i) {
-            EXPECT_EQ(on.layers[i].stats.entries(),
-                      off.layers[i].stats.entries());
+            EXPECT_EQ(on.layers[i].stats, off.layers[i].stats);
             EXPECT_EQ(on.layers[i].latency, off.layers[i].latency);
         }
     }

@@ -85,7 +85,7 @@ TEST(ExportCsv, QuotesHostileFieldsPerRfc4180)
     arch::RunCost run;
     arch::LayerCost layer;
     layer.name = "conv,3x3 \"same\"\npad";
-    layer.stats.add("energy.dram", 1.0);
+    layer.stats.add(Stat::EnergyDramRead, 1.0);
     run.layers.push_back(layer);
     const std::string csv = toCsv(run);
     EXPECT_NE(csv.find("\"conv,3x3 \"\"same\"\"\npad\""),
@@ -98,16 +98,15 @@ TEST(ExportCsv, QuotesHostileFieldsPerRfc4180)
     EXPECT_EQ(toCsv(plain).find('"'), std::string::npos);
 }
 
-TEST(ExportCsv, QuotesHostileStatKeys)
+TEST(ExportCsv, StatNamesNeedNoQuoting)
 {
-    arch::RunCost run;
-    arch::LayerCost layer;
-    layer.name = "conv1";
-    layer.stats.add("energy.dram,extra", 1.0);
-    run.layers.push_back(layer);
-    const std::string csv = toCsv(run);
-    EXPECT_NE(csv.find("\"energy.dram,extra\""), std::string::npos)
-        << csv;
+    // The exports print stat names bare: every name is a plain CSV
+    // field and a JSON string that needs no escaping.
+    for (const std::string_view name : kStatNames) {
+        const std::string n(name);
+        EXPECT_EQ(csvField(n), n);
+        EXPECT_EQ(jsonEscape(n), n);
+    }
 }
 
 TEST(ExportJson, ContainsTotalsAndLayers)

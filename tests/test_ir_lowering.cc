@@ -139,13 +139,15 @@ TEST(IrLoweringTest, TensorsAreProducedBeforeConsumed)
     for (const ir::Program &p : propertyPrograms()) {
         SCOPED_TRACE(p.engine + "." + p.network +
                      (p.overlap ? "+overlap" : ""));
-        std::set<std::string> live(p.inputs.begin(),
-                                   p.inputs.end());
+        std::set<std::string> live;
+        for (const ir::Operand in : p.inputs)
+            live.insert(ir::operandName(p, in));
         for (const ir::Instr &in : p.instrs) {
-            for (const std::string &r : in.reads)
-                EXPECT_EQ(live.count(r), 1u) << r;
-            for (const std::string &w : in.writes)
-                live.insert(w);
+            for (const ir::Operand r : in.reads)
+                EXPECT_EQ(live.count(ir::operandName(p, r)), 1u)
+                    << ir::operandName(p, r);
+            for (const ir::Operand w : in.writes)
+                live.insert(ir::operandName(p, w));
         }
     }
 }
@@ -190,18 +192,20 @@ TEST(IrLoweringTest, OverlapRewiresDependenciesNotWork)
                     const ir::Instr &b = on.instrs[i];
                     EXPECT_EQ(int(b.op), int(a.op));
                     EXPECT_EQ(int(b.unit), int(a.unit));
-                    EXPECT_EQ(b.label, a.label);
+                    EXPECT_EQ(ir::labelText(on, b.label),
+                              ir::labelText(off, a.label));
                     EXPECT_EQ(b.span, a.span);
                     EXPECT_EQ(b.duration, a.duration);
                     EXPECT_EQ(b.reads, a.reads);
                     EXPECT_EQ(b.writes, a.writes);
-                    EXPECT_EQ(b.stats.entries(), a.stats.entries());
+                    EXPECT_EQ(on.names, off.names);
+                    EXPECT_EQ(b.stats, a.stats);
                 }
                 for (std::size_t s = 0; s < off.spans.size(); ++s) {
                     const auto a = ir::collapseSpan(off, off.spans[s]);
                     const auto b = ir::collapseSpan(on, on.spans[s]);
                     EXPECT_EQ(b.latency, a.latency);
-                    EXPECT_EQ(b.stats.entries(), a.stats.entries());
+                    EXPECT_EQ(b.stats, a.stats);
                 }
             }
         }
@@ -222,8 +226,15 @@ TEST(IrLoweringTest, ValidateRejectsMalformedPrograms)
     EXPECT_DEATH(ir::validate(forwardDep), "");
 
     ir::Program unboundRead = good;
-    unboundRead.instrs[0].reads.push_back("tensor.never.written");
+    unboundRead.instrs[0].reads.push_back(
+        {ir::Role::Act, ir::addName(unboundRead, "never.written")});
     EXPECT_DEATH(ir::validate(unboundRead), "");
+
+    ir::Program duplicateDep = good;
+    const int last = int(duplicateDep.instrs.size()) - 1;
+    duplicateDep.instrs[std::size_t(last)].deps.push_back(
+        duplicateDep.instrs[std::size_t(last)].deps[0]);
+    EXPECT_DEATH(ir::validate(duplicateDep), "twice");
 
     ir::Program noExit = good;
     noExit.instrs.push_back(noExit.instrs.back());

@@ -376,7 +376,7 @@ TEST(WriteVerifyCost, ChargesEnergyAndLatencyIntoTheRun)
     double verifyEnergy = 0.0;
     for (const auto &layer : run.layers)
         verifyEnergy +=
-            layer.stats.sumPrefix("energy.reliability");
+            layer.stats.sum(statPrefix("energy.reliability"));
     EXPECT_DOUBLE_EQ(verifyEnergy, cost.extraEnergy);
 }
 
@@ -793,12 +793,13 @@ TEST(ResilienceJournal, ResilienceSurvivesTheRoundTrip)
         ::testing::TempDir() + "/reliability_journal.jsonl";
     dse::JournalHeader header;
     header.signature = "test";
+    header.spaceSize = 4;
     dse::JournalWriter writer;
     writer.open(path, header, false);
     writer.append(e);
     writer.close();
     dse::JournalContents contents;
-    ASSERT_TRUE(dse::readJournal(path, contents));
+    ASSERT_TRUE(dse::readJournal(path, header, 2, contents));
     ASSERT_EQ(contents.evals.count(3), 1u);
     EXPECT_DOUBLE_EQ(contents.evals[3].resilience, e.resilience);
     std::remove(path.c_str());

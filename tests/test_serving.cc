@@ -681,7 +681,10 @@ TEST(DseBridge, JournalRoundTripsServingScalars)
         writer.append(e);
     }
     dse::JournalContents contents;
-    ASSERT_TRUE(dse::readJournal(path, contents));
+    dse::JournalHeader run;
+    run.signature = "test";
+    run.spaceSize = 10;
+    ASSERT_TRUE(dse::readJournal(path, run, 2, contents));
     std::remove(path.c_str());
     ASSERT_EQ(contents.evals.count(9), 1u);
     const dse::Evaluation &back = contents.evals[9];
@@ -710,7 +713,10 @@ TEST(DseBridge, JournalDefaultsServingScalarsWhenAbsent)
         std::fclose(f);
     }
     dse::JournalContents contents;
-    ASSERT_TRUE(dse::readJournal(path, contents));
+    dse::JournalHeader run;
+    run.signature = "old";
+    run.spaceSize = 2;
+    ASSERT_TRUE(dse::readJournal(path, run, 2, contents));
     std::remove(path.c_str());
     ASSERT_EQ(contents.evals.count(1), 1u);
     EXPECT_EQ(contents.evals[1].p99LatencyS, 0.0);
