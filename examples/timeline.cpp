@@ -198,14 +198,18 @@ main(int argc, char **argv)
         // against the analytic backend.
         std::fprintf(stderr, "event: %zu instrs, makespan %.17g s\n",
                      program.instrs.size(), timed.makespan);
-        for (const auto &[unit, intervals] : timed.busy) {
+        for (int u = 0; u < ir::kUnitCount; ++u) {
+            const auto &intervals = timed.busy[std::size_t(u)];
+            if (intervals.empty())
+                continue;
             Seconds busySum = 0.0;
             for (const auto &iv : intervals)
                 busySum += iv.finish - iv.start;
             std::fprintf(stderr,
                          "event: unit %-8s %4zu intervals, busy "
                          "%.17g s\n",
-                         ir::unitName(unit), intervals.size(), busySum);
+                         ir::unitName(ir::Unit(u)), intervals.size(),
+                         busySum);
         }
     } else {
         run = ir::analyticWalk(program);

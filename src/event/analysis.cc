@@ -15,8 +15,6 @@ namespace event {
 
 namespace {
 
-constexpr int kUnitCount = int(ir::Unit::Ctrl) + 1;
-
 /** Phase as the export spelling. */
 const char *
 phaseName(const ir::Program &p)
@@ -168,7 +166,7 @@ analyze(const ir::Program &p, const TimedRun &t,
             spanOf[std::size_t(p.spans[s].first + k)] = int(s);
 
     std::vector<ExactSum> unitSum;
-    unitSum.resize(std::size_t(kUnitCount));
+    unitSum.resize(std::size_t(ir::kUnitCount));
     std::vector<ExactSum> spanSum;
     spanSum.resize(p.spans.size());
     for (const PathStep &step : r.path) {
@@ -204,18 +202,14 @@ analyze(const ir::Program &p, const TimedRun &t,
     }
 
     // --- Per-unit occupancy over the recorded busy intervals. ---
-    bool used[std::size_t(kUnitCount)] = {};
+    bool used[std::size_t(ir::kUnitCount)] = {};
     for (const ir::Instr &in : p.instrs)
         used[std::size_t(int(in.unit))] = true;
-    for (int u = 0; u < kUnitCount; ++u) {
+    for (int u = 0; u < ir::kUnitCount; ++u) {
         if (!used[std::size_t(u)])
             continue;
         UnitReport row;
         row.unit = ir::Unit(u);
-        const std::vector<BusyInterval> *intervals = nullptr;
-        for (const auto &[unit, list] : t.busy)
-            if (unit == row.unit)
-                intervals = &list;
         // Merged-interval sweep: coverage and gaps inside
         // [0, makespan], overhang past it. Intervals arrive sorted
         // by (start, instr).
@@ -234,19 +228,18 @@ analyze(const ir::Program &p, const TimedRun &t,
             prevEnd = mergedEnd;
             open = false;
         };
-        if (intervals != nullptr) {
-            row.intervals = int(intervals->size());
-            for (const BusyInterval &iv : *intervals) {
-                row.busy += iv.finish - iv.start;
-                if (open && iv.start <= mergedEnd) {
-                    mergedEnd = std::max(mergedEnd, iv.finish);
-                    continue;
-                }
-                closeMerged();
-                mergedStart = iv.start;
-                mergedEnd = iv.finish;
-                open = true;
+        const std::vector<BusyInterval> &intervals = t.busy[std::size_t(u)];
+        row.intervals = int(intervals.size());
+        for (const BusyInterval &iv : intervals) {
+            row.busy += iv.finish - iv.start;
+            if (open && iv.start <= mergedEnd) {
+                mergedEnd = std::max(mergedEnd, iv.finish);
+                continue;
             }
+            closeMerged();
+            mergedStart = iv.start;
+            mergedEnd = iv.finish;
+            open = true;
         }
         closeMerged();
         row.largestGap =

@@ -3,7 +3,6 @@
 #include "event/analysis.hh"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -113,29 +112,20 @@ execute(const ir::Program &p)
 
     // Busy intervals per unit, ordered by (start, instr); sync
     // instructions occupy nothing.
-    constexpr int kUnits = int(ir::Unit::Ctrl) + 1;
-    std::array<int, kUnits> work{};
+    std::array<std::size_t, ir::kUnitCount> work{};
     for (const ir::Instr &in : p.instrs)
         if (in.op != ir::Op::Sync)
             ++work[std::size_t(in.unit)];
-    std::array<std::vector<BusyInterval> *, kUnits> of{};
-    t.busy.reserve(std::size_t(std::count_if(
-        work.begin(), work.end(), [](int w) { return w > 0; })));
-    for (int u = 0; u < kUnits; ++u) {
-        if (work[std::size_t(u)] == 0)
-            continue;
-        t.busy.push_back({ir::Unit(u), {}});
-        t.busy.back().second.reserve(std::size_t(work[std::size_t(u)]));
-        of[std::size_t(u)] = &t.busy.back().second;
-    }
+    for (int u = 0; u < ir::kUnitCount; ++u)
+        t.busy[std::size_t(u)].reserve(work[std::size_t(u)]);
     for (int i = 0; i < n; ++i) {
         const ir::Instr &in = p.instrs[std::size_t(i)];
         if (in.op != ir::Op::Sync)
-            of[std::size_t(in.unit)]->push_back(
+            t.busy[std::size_t(in.unit)].push_back(
                 {i, t.schedule[std::size_t(i)].start,
                  t.schedule[std::size_t(i)].finish});
     }
-    for (auto &[unit, intervals] : t.busy)
+    for (std::vector<BusyInterval> &intervals : t.busy)
         std::sort(intervals.begin(), intervals.end(),
                   [](const BusyInterval &a, const BusyInterval &b) {
                       if (a.start != b.start)

@@ -28,8 +28,8 @@
 #ifndef INCA_EVENT_EVENT_HH
 #define INCA_EVENT_EVENT_HH
 
+#include <array>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "arch/cost.hh"
@@ -88,10 +88,10 @@ struct TimedRun
     /** Per-instruction schedule, aligned with program.instrs. */
     std::vector<TimedInstr> schedule;
     /**
-     * Busy intervals of each unit that ran work, in ir::Unit order;
-     * each unit's intervals are ordered by (start, instr).
+     * Busy intervals per unit, indexed by ir::Unit, each ordered by
+     * (start, instr); empty for a unit that ran no work.
      */
-    std::vector<std::pair<ir::Unit, std::vector<BusyInterval>>> busy;
+    std::array<std::vector<BusyInterval>, ir::kUnitCount> busy;
     /** Finish time of the exit sync. */
     Seconds makespan = 0.0;
 };

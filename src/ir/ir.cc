@@ -54,6 +54,8 @@ unitName(Unit unit)
     panic("unreachable unit %d", int(unit));
 }
 
+namespace {
+
 const char *
 roleName(Role role)
 {
@@ -116,11 +118,11 @@ verbName(Verb verb)
         return "program-weights";
       case Verb::Pipe:
         return "pipe";
-      case Verb::StreamWeightsAll:
+      case Verb::ReloadStream:
         return "stream weights";
-      case Verb::ProgramWeightsAll:
+      case Verb::ReloadProgram:
         return "program weights";
-      case Verb::SyncReload:
+      case Verb::ReloadSync:
         return "sync reload";
       case Verb::Drain:
         return "drain";
@@ -129,6 +131,8 @@ verbName(Verb verb)
     }
     panic("unreachable verb %d", int(verb));
 }
+
+} // namespace
 
 NameId
 addName(Program &p, std::string name)

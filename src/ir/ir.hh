@@ -76,6 +76,8 @@ enum class Unit
     Ctrl,     ///< sequencer (sync instructions)
 };
 
+inline constexpr int kUnitCount = int(Unit::Ctrl) + 1;
+
 const char *opName(Op op);
 const char *unitName(Unit unit);
 
@@ -170,9 +172,9 @@ enum class Verb : std::uint8_t
     ProgramWeights,
     Pipe,
     // The verbs below stand alone (no name).
-    StreamWeightsAll,
-    ProgramWeightsAll,
-    SyncReload,
+    ReloadStream,  ///< "stream weights"
+    ReloadProgram, ///< "program weights"
+    ReloadSync,    ///< "sync reload"
     Drain,
     Exit,
 };
@@ -185,9 +187,6 @@ struct Label
 
     bool operator==(const Label &other) const = default;
 };
-
-const char *roleName(Role role);
-const char *verbName(Verb verb);
 
 /** One typed instruction: fixed fields, no heap storage. */
 struct Instr

@@ -98,7 +98,7 @@ sealProgram(Program &p, int lastCritical)
     Instr &exit = p.instrs.emplace_back();
     exit.op = Op::Sync;
     exit.unit = Unit::Ctrl;
-    exit.label = {Verb::Exit, kNoName};
+    exit.label = {Verb::Exit};
     exit.span = -1;
     if (lastCritical >= 0)
         exit.deps.push_back(lastCritical);

@@ -430,25 +430,16 @@ struct IsBuilder
     Operand prevAct;  ///< activations the next forward layer reads
     Operand prevGrad; ///< errors the next backward layer reads
 
-    /** The span of @p g named @p name; returns its first instr. */
-    Instr *
-    append(const LayerGroup &g, NameId name, LayerKind kind)
-    {
-        const int base =
-            appendSpan(p, g, p.names[name], kind, false, false);
-        return &p.instrs[std::size_t(base)];
-    }
-
     void
     convForward(const LayerDesc &layer, NameId name, const LayerGroup &g)
     {
-        Instr *at = append(g, name, layer.kind);
-        const int base = int(at - p.instrs.data());
-        Instr &load = at[kLoad];
-        Instr &mvm = at[kMvm];
-        Instr &reduce = at[kReduce];
-        Instr &move = at[kMove];
-        Instr &sync = at[kSync];
+        const int base = appendSpan(p, g, p.names[name], layer.kind,
+                                    false, false);
+        Instr &load = p.instrs[std::size_t(base + kLoad)];
+        Instr &mvm = p.instrs[std::size_t(base + kMvm)];
+        Instr &reduce = p.instrs[std::size_t(base + kReduce)];
+        Instr &move = p.instrs[std::size_t(base + kMove)];
+        Instr &sync = p.instrs[std::size_t(base + kSync)];
         load.label = {Verb::Load, name};
         load.writes = {{Role::WFetch, name}};
         mvm.label = {Verb::Mvm, name};
@@ -492,10 +483,10 @@ struct IsBuilder
     aux(const LayerDesc &layer, NameId name, const LayerGroup &g,
         bool backward)
     {
-        Instr *at = append(g, name, layer.kind);
-        const int base = int(at - p.instrs.data());
-        Instr &act = at[0];
-        Instr &sync = at[1];
+        const int base = appendSpan(p, g, p.names[name], layer.kind,
+                                    false, false);
+        Instr &act = p.instrs[std::size_t(base)];
+        Instr &sync = p.instrs[std::size_t(base + 1)];
         act.label = {Verb::Post, name};
         Operand &chain = backward ? prevGrad : prevAct;
         const Operand out{backward ? Role::Grad : Role::Act, name};
@@ -520,13 +511,13 @@ struct IsBuilder
     convBackward(const LayerDesc &layer, NameId name, NameId bwd,
                  const LayerGroup &g)
     {
-        Instr *at = append(g, bwd, layer.kind);
-        const int base = int(at - p.instrs.data());
-        Instr &load = at[kLoad];
-        Instr &mvm = at[kMvm];
-        Instr &reduce = at[kReduce];
-        Instr &move = at[kMove];
-        Instr &sync = at[kSync];
+        const int base = appendSpan(p, g, p.names[bwd], layer.kind,
+                                    false, false);
+        Instr &load = p.instrs[std::size_t(base + kLoad)];
+        Instr &mvm = p.instrs[std::size_t(base + kMvm)];
+        Instr &reduce = p.instrs[std::size_t(base + kReduce)];
+        Instr &move = p.instrs[std::size_t(base + kMove)];
+        Instr &sync = p.instrs[std::size_t(base + kSync)];
         load.label = {Verb::LoadT, name};
         load.writes = {{Role::WTFetch, name}};
         mvm.label = {Verb::Mvm, bwd};
@@ -550,12 +541,12 @@ struct IsBuilder
     convUpdate(const LayerDesc &layer, Operand inputAct, NameId name,
                NameId upd, const LayerGroup &g)
     {
-        Instr *at = append(g, upd, layer.kind);
-        const int base = int(at - p.instrs.data());
-        Instr &mvm = at[kUpdMvm];
-        Instr &reduce = at[kUpdReduce];
-        Instr &move = at[kUpdMove];
-        Instr &sync = at[kUpdSync];
+        const int base = appendSpan(p, g, p.names[upd], layer.kind,
+                                    false, false);
+        Instr &mvm = p.instrs[std::size_t(base + kUpdMvm)];
+        Instr &reduce = p.instrs[std::size_t(base + kUpdReduce)];
+        Instr &move = p.instrs[std::size_t(base + kUpdMove)];
+        Instr &sync = p.instrs[std::size_t(base + kUpdSync)];
         mvm.label = {Verb::Mvm, upd};
         mvm.reads = {inputAct, {Role::Grad, name}};
         mvm.writes = {{Role::Psum, upd}};

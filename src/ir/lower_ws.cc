@@ -330,11 +330,11 @@ appendReload(Program &p, const LayerGroup &g, NameId stream,
                                 false, false);
     Instr &load = p.instrs[std::size_t(base)];
     Instr &program = p.instrs[std::size_t(base + 1)];
-    load.label = {Verb::StreamWeightsAll, kNoName};
+    load.label = {Verb::ReloadStream};
     load.writes = {{Role::W, stream}};
-    program.label = {Verb::ProgramWeightsAll, kNoName};
+    program.label = {Verb::ReloadProgram};
     program.reads = {{Role::W, stream}};
-    p.instrs[std::size_t(base + 2)].label = {Verb::SyncReload, kNoName};
+    p.instrs[std::size_t(base + 2)].label = {Verb::ReloadSync};
     chainAfter(p, base, prevEnd);
     return int(p.instrs.size()) - 1;
 }
@@ -472,7 +472,7 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         // ISAAC pipelining: fill once (the serial span chain above),
         // then one image per slowest stage -- the drain span.
         prevEnd = appendPipelineSpan(
-            p, "drain", {Verb::Drain, kNoName}, LayerKind::Conv,
+            p, "drain", {Verb::Drain}, LayerKind::Conv,
             double(batchSize - 1) * slowest, prevEnd);
     } else {
         // Forward, error backpropagation, and weight-gradient passes
@@ -586,7 +586,7 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
         // Images pipeline through the three passes at the unbalanced
         // slowest stage.
         prevEnd = appendPipelineSpan(
-            p, "drain", {Verb::Drain, kNoName}, LayerKind::Conv,
+            p, "drain", {Verb::Drain}, LayerKind::Conv,
             double(batchSize - 1) * passes * slowest, prevEnd);
 
         // The reload LayerCost lands after the per-layer rows, as the

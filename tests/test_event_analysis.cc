@@ -299,7 +299,7 @@ TEST(EventAnalysisTest, OverhangReportedExplicitly)
     ir::Instr exitSync;
     exitSync.op = ir::Op::Sync;
     exitSync.unit = ir::Unit::Ctrl;
-    exitSync.label = {ir::Verb::Exit, ir::kNoName};
+    exitSync.label = {ir::Verb::Exit};
     exitSync.deps = {1};
     p.instrs = {load, mvm, exitSync};
     ir::Span span;
