@@ -44,10 +44,8 @@ static_assert(kStatCount <= 32, "the presence mask holds 32 stats");
 StatSet &
 StatSet::operator+=(const StatSet &other)
 {
-    for (std::uint32_t rest = other.present_; rest != 0; rest &= rest - 1) {
-        const int i = std::countr_zero(rest);
-        values_[std::size_t(i)] += other.values_[std::size_t(i)];
-    }
+    other.forEach(
+        [&](Stat s, double value) { values_[std::size_t(s)] += value; });
     present_ |= other.present_;
     return *this;
 }

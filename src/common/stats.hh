@@ -140,48 +140,16 @@ class StatSet
 
     bool operator==(const StatSet &other) const = default;
 
-    /** One present stat, as iteration yields it. */
-    struct Entry
+    /** Call @p f(stat, value) for every present stat, in name order. */
+    template <typename F>
+    void
+    forEach(F &&f) const
     {
-        Stat stat;
-        double value;
-    };
-
-    /** Walks the present stats in name order. */
-    class Iterator
-    {
-      public:
-        Iterator(const StatSet &set, std::uint32_t rest)
-            : set_(&set), rest_(rest)
-        {
+        for (std::uint32_t rest = present_; rest != 0; rest &= rest - 1) {
+            const int i = std::countr_zero(rest);
+            f(Stat(i), values_[std::size_t(i)]);
         }
-
-        Entry
-        operator*() const
-        {
-            const int i = std::countr_zero(rest_);
-            return {Stat(i), set_->values_[std::size_t(i)]};
-        }
-
-        Iterator &
-        operator++()
-        {
-            rest_ &= rest_ - 1;
-            return *this;
-        }
-
-        bool operator==(const Iterator &other) const
-        {
-            return rest_ == other.rest_;
-        }
-
-      private:
-        const StatSet *set_;
-        std::uint32_t rest_; ///< stats not yet visited
-    };
-
-    Iterator begin() const { return {*this, present_}; }
-    Iterator end() const { return {*this, 0}; }
+    }
 
   private:
     static constexpr std::uint32_t bit(int i) { return 1u << i; }

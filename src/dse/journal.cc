@@ -198,9 +198,9 @@ constexpr NumberField kNumberFields[] = {
 };
 
 /**
- * Parse one eval line into @p e, leaving the index's raw token in
- * @p index (the index field itself is checked against the run by
- * readJournal). False when the line does not parse.
+ * Parse one eval line into @p e, all but the candidate index, whose
+ * raw token lands in @p index for checkBelongs. False when the line
+ * does not parse.
  */
 bool
 parseEvalLine(const std::string &line, Evaluation &e, std::string &index)
@@ -208,8 +208,7 @@ parseEvalLine(const std::string &line, Evaluation &e, std::string &index)
     std::string type;
     if (!getString(line, "type", type) || type != "eval")
         return false;
-    if (!rawValue(line, "index", index) ||
-        !getU64(line, "index", e.candidate.index))
+    if (!rawValue(line, "index", index))
         return false;
     if (!getBool(line, "feasible", e.feasible) ||
         !getBool(line, "scored", e.scored))

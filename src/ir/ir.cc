@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -56,89 +57,29 @@ unitName(Unit unit)
 
 namespace {
 
-const char *
-roleName(Role role)
-{
-    switch (role) {
-      case Role::Act:
-        return "act";
-      case Role::Grad:
-        return "grad";
-      case Role::WFetch:
-        return "w.fetch";
-      case Role::WTFetch:
-        return "wT.fetch";
-      case Role::Psum:
-        return "psum";
-      case Role::Out:
-        return "out";
-      case Role::Err:
-        return "err";
-      case Role::Dw:
-        return "dw";
-      case Role::W:
-        return "w";
-      case Role::WT:
-        return "wT";
-      case Role::Fetch:
-        return "fetch";
-    }
-    panic("unreachable role %d", int(role));
-}
+/** The spelling of each Role, indexed by it. */
+constexpr const char *kRoleNames[] = {
+    "act", "grad", "w.fetch", "wT.fetch", "psum", "out",
+    "err", "dw",   "w",       "wT",       "fetch",
+};
+static_assert(std::size(kRoleNames) == std::size_t(kRoleCount));
 
-const char *
-verbName(Verb verb)
-{
-    switch (verb) {
-      case Verb::None:
-        return "";
-      case Verb::Load:
-        return "load";
-      case Verb::LoadT:
-        return "load-T";
-      case Verb::Mvm:
-        return "mvm";
-      case Verb::Reduce:
-        return "reduce";
-      case Verb::Move:
-        return "move";
-      case Verb::Sync:
-        return "sync";
-      case Verb::Post:
-        return "post";
-      case Verb::Writeback:
-        return "writeback";
-      case Verb::Fetch:
-        return "fetch";
-      case Verb::Save:
-        return "save";
-      case Verb::StoreActs:
-        return "store-acts";
-      case Verb::ProgramWeights:
-        return "program-weights";
-      case Verb::Pipe:
-        return "pipe";
-      case Verb::ReloadStream:
-        return "stream weights";
-      case Verb::ReloadProgram:
-        return "program weights";
-      case Verb::ReloadSync:
-        return "sync reload";
-      case Verb::Drain:
-        return "drain";
-      case Verb::Exit:
-        return "exit";
-    }
-    panic("unreachable verb %d", int(verb));
-}
+/** The spelling of each Verb, indexed by it. */
+constexpr const char *kVerbNames[] = {
+    "", "load", "load-T", "mvm", "reduce", "move", "sync", "post",
+    "writeback", "fetch", "save", "store-acts", "program-weights",
+    "pipe", "stream weights", "program weights", "sync reload",
+    "drain", "exit",
+};
+static_assert(std::size(kVerbNames) == std::size_t(Verb::Exit) + 1);
 
 } // namespace
 
 NameId
 addName(Program &p, std::string name)
 {
-    inca_assert(p.names.size() < kNoName, "program '%s' has too many names",
-                p.network.c_str());
+    inca_assert(p.names.size() < kNoName,
+                "program '%s' has too many names", p.network.c_str());
     p.names.push_back(std::move(name));
     return NameId(p.names.size() - 1);
 }
@@ -146,13 +87,14 @@ addName(Program &p, std::string name)
 std::string
 operandName(const Program &p, Operand o)
 {
-    return std::string(roleName(o.role)) + "." + p.names[o.name];
+    return std::string(kRoleNames[std::size_t(o.role)]) + "." +
+           p.names[o.name];
 }
 
 std::string
 labelText(const Program &p, Label l)
 {
-    std::string text = verbName(l.verb);
+    std::string text = kVerbNames[std::size_t(l.verb)];
     if (l.name != kNoName)
         text += " " + p.names[l.name];
     return text;

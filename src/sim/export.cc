@@ -28,8 +28,8 @@ allStats(const arch::RunCost &run)
 {
     std::array<bool, kStatCount> held{};
     for (const auto &layer : run.layers)
-        for (const auto [stat, value] : layer.stats)
-            held[std::size_t(stat)] = true;
+        layer.stats.forEach(
+            [&](Stat s, double) { held[std::size_t(s)] = true; });
     std::vector<Stat> stats;
     for (int i = 0; i < kStatCount; ++i)
         if (held[std::size_t(i)])
@@ -95,12 +95,12 @@ toJson(const arch::RunCost &run, const std::string &extras)
            << ", \"energy_J\": " << num(layer.energy())
            << ", \"stats\": {";
         bool first = true;
-        for (const auto [stat, value] : layer.stats) {
+        layer.stats.forEach([&](Stat s, double value) {
             if (!first)
                 os << ", ";
             first = false;
-            os << "\"" << statName(stat) << "\": " << num(value);
-        }
+            os << "\"" << statName(s) << "\": " << num(value);
+        });
         os << "}}" << (i + 1 < run.layers.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

@@ -63,10 +63,10 @@ transcript(const arch::RunCost &run)
         out += layer.name + " k" +
                std::to_string(int(layer.kind)) + " t=";
         num(layer.latency);
-        for (const auto [stat, value] : layer.stats) {
+        layer.stats.forEach([&](Stat stat, double value) {
             out += " " + std::string(statName(stat)) + "=";
             num(value);
-        }
+        });
         out += "\n";
     }
     out += "latency=";

@@ -18,9 +18,10 @@ std::vector<std::string>
 entries(const StatSet &s)
 {
     std::vector<std::string> out;
-    for (const auto [stat, value] : s)
+    s.forEach([&](Stat stat, double value) {
         out.push_back(std::string(statName(stat)) + "=" +
                       std::to_string(value));
+    });
     return out;
 }
 
