@@ -22,9 +22,9 @@ namespace ir {
 /**
  * A position-independent per-layer instruction group, held inline:
  * dependencies are group-local indices, labels and operands are unset
- * (they carry the layer name). appendSpan() rebases the group into a
- * concrete Program and the caller then assigns labels, operands, and
- * inter-span wiring.
+ * (they refer to the program's name table). appendSpan() rebases the
+ * group into a concrete Program and the caller then assigns labels,
+ * operands, and inter-span wiring.
  */
 struct LayerGroup
 {

@@ -78,11 +78,9 @@ lowerResnet50(const arch::IncaConfig &cfg, const nn::NetworkDesc &net)
                          ir::LowerOptions{/*overlap=*/true});
 }
 
-// Each bound sits just above the count measured when it was set (the
-// map-and-string instruction this replaced made 5,002 allocations per
-// resnet50 lowering, 2,616 per execution and 4,306 per WS vgg16
-// training lowering). Each call runs once first, to warm one-time
-// state such as the metric registry.
+// Each bound sits just above the count measured when it was set. Each
+// call runs once first, to warm one-time state such as the metric
+// registry.
 
 TEST(IrAllocations, Resnet50LoweringMakesAHandful)
 {
