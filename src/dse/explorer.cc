@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <optional>
 #include <sstream>
+#include <system_error>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -546,9 +547,15 @@ Explorer::run()
                         options_.objectives.size(), contents)) {
             // Cut a torn tail, or the next line would be appended to
             // it and every later resume would read the glued line.
-            if (contents.truncatedTail)
+            if (contents.truncatedTail) {
+                std::error_code err;
                 std::filesystem::resize_file(options_.journalPath,
-                                             contents.completeBytes);
+                                             contents.completeBytes, err);
+                if (err)
+                    fatal("cannot cut the torn tail of journal '%s': %s",
+                          options_.journalPath.c_str(),
+                          err.message().c_str());
+            }
             replay = std::move(contents.evals);
             append = true;
         }

@@ -250,8 +250,9 @@ candidateIndex(const std::string &token, std::uint64_t spaceSize,
 /**
  * Fatal unless @p e, parsed from line @p lineNo of the journal at
  * @p path with the raw index @p index, can belong to @p run: the
- * writer only ever writes a candidate of the run's space, one value
- * per objective and finite numbers.
+ * writer only ever writes a candidate of the run's space, finite
+ * numbers, and one value per objective on a scored line but none on
+ * a line a hard constraint stopped before scoring.
  */
 void
 checkBelongs(const std::string &path, std::size_t lineNo,
@@ -263,10 +264,12 @@ checkBelongs(const std::string &path, std::size_t lineNo,
               "this run's %llu-point space",
               path.c_str(), lineNo, index.c_str(),
               static_cast<unsigned long long>(run.spaceSize));
-    if (e.objectives.size() != arity)
+    const std::size_t want = e.scored ? arity : 0;
+    if (e.objectives.size() != want)
         fatal("journal '%s' line %zu: objectives holds %zu values, "
-              "but this run scores %zu",
-              path.c_str(), lineNo, e.objectives.size(), arity);
+              "but a%s line of this run holds %zu",
+              path.c_str(), lineNo, e.objectives.size(),
+              e.scored ? " scored" : "n unscored", want);
     for (const double v : e.objectives)
         if (!std::isfinite(v))
             fatal("journal '%s' line %zu: objectives holds a "
@@ -332,11 +335,22 @@ JournalWriter::open(const std::string &path,
                     const JournalHeader &header, bool append)
 {
     close();
-    file_ = std::fopen(path.c_str(), append ? "ab" : "wb");
+    file_ = std::fopen(path.c_str(), append ? "a+b" : "wb");
     if (!file_)
         fatal("cannot open journal '%s': %s", path.c_str(),
               std::strerror(errno));
-    if (!append) {
+    if (append) {
+        // A final line that lost only its newline (a short write, a
+        // hand edit) still parses and is replayed; end it, or the next
+        // line would be glued to it and a later resume would read one
+        // evaluation where two were written.
+        if (std::fseek(file_, -1, SEEK_END) == 0 &&
+            std::fgetc(file_) != '\n') {
+            std::fputc('\n', file_);
+            std::fflush(file_);
+        }
+        std::fseek(file_, 0, SEEK_END);
+    } else {
         const std::string line = header.toJsonLine();
         std::fwrite(line.data(), 1, line.size(), file_);
         std::fputc('\n', file_);

@@ -63,8 +63,9 @@ class JournalWriter
 
     /**
      * Open @p path. With @p append the file is extended (resume --
-     * the header is already present); otherwise it is truncated and
-     * @p header written first. Fatal when the file cannot open.
+     * the header is already present), after a newline if its last
+     * line lacks one; otherwise it is truncated and @p header written
+     * first. Fatal when the file cannot open.
      */
     void open(const std::string &path, const JournalHeader &header,
               bool append);
@@ -100,8 +101,9 @@ struct JournalContents
  * (truncatedTail). Fatal on: a file with no parsable header; a header
  * whose signature is not @p run's; a malformed interior line; and any
  * line that parses but cannot belong to the run -- an index outside
- * its space, an objective count other than @p arity, or a non-finite
- * number. Each message names the journal, the line and the field.
+ * its space, an objective count other than @p arity on a scored line
+ * or other than 0 on an unscored one, or a non-finite number. Each
+ * message names the journal, the line and the field.
  */
 bool readJournal(const std::string &path, const JournalHeader &run,
                  std::size_t arity, JournalContents &out);

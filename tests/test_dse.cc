@@ -911,54 +911,114 @@ TEST(Explorer, ResumeAfterATornTailScoresOnlyTheRest)
     const ExploreResult replay = again.run();
     EXPECT_EQ(replay.reused, 8u);
     EXPECT_EQ(csvOf(again, replay), want);
+
+    // A kill after the last brace but before the newline leaves a
+    // final line that parses: resume replays it, and the rescored
+    // candidate's line starts on a line of its own.
+    {
+        std::ofstream out(journal);
+        for (std::size_t i = 0; i + 2 < lines.size(); ++i)
+            out << lines[i] << "\n";
+        out << lines[lines.size() - 2];
+    }
+    Explorer unterminated(defaultSpace(EngineKind::Inca),
+                          seed7Budget8(journal, true));
+    const ExploreResult rest = unterminated.run();
+    EXPECT_EQ(rest.reused, 7u);
+    EXPECT_EQ(rest.scored, 1u);
+    EXPECT_EQ(csvOf(unterminated, rest), want);
+    EXPECT_EQ(readLines(journal), lines);
+    Explorer whole(defaultSpace(EngineKind::Inca),
+                   seed7Budget8(journal, true));
+    EXPECT_EQ(whole.run().reused, 8u);
+    std::remove(journal.c_str());
+}
+
+TEST(Explorer, ResumeReplaysHardRejections)
+{
+    // bench_e2e's explore spec with a hard lossless_adc bound: the
+    // 3-bit candidates stop before scoring, and their lines carry no
+    // objectives. A resume replays every line, rejections included.
+    const std::string journal =
+        ::testing::TempDir() + "/dse_hard_rejections.jsonl";
+    ExploreOptions opt = testutil::benchExploreOptions(16);
+    opt.constraints.set("lossless_adc=1");
+    opt.journalPath = journal;
+    Explorer full(defaultSpace(EngineKind::Inca), opt);
+    const ExploreResult want = full.run();
+    ASSERT_GT(want.filtered, 0u);
+    ASSERT_GT(want.scored, 0u);
+
+    opt.resume = true;
+    Explorer resumed(defaultSpace(EngineKind::Inca), opt);
+    const ExploreResult got = resumed.run();
+    EXPECT_EQ(got.reused, want.evaluations.size());
+    EXPECT_EQ(got.scored, 0u);
+    EXPECT_EQ(got.filtered, want.filtered);
+    EXPECT_EQ(csvOf(resumed, got), csvOf(full, want));
     std::remove(journal.c_str());
 }
 
 TEST(ExplorerDeath, ResumeRejectsLinesForeignToTheRun)
 {
-    // Each mutated line 2 below parses, but the writer never writes
-    // it for this run (96 candidates, 3 objectives, finite numbers):
+    // Each mutated line below parses, but the writer never writes it
+    // for this run (96 candidates, finite numbers, 3 objectives on a
+    // scored line and none on one the hard lossless_adc bound stopped):
     // resume names the journal, the line and the field instead of
     // aborting, dropping the line or replaying it.
     const std::string journal =
         ::testing::TempDir() + "/dse_foreign_line.jsonl";
+    ExploreOptions opt = seed7Budget8(journal, false);
+    opt.constraints.set("lossless_adc=1");
     {
-        Explorer explorer(defaultSpace(EngineKind::Inca),
-                          seed7Budget8(journal, false));
+        Explorer explorer(defaultSpace(EngineKind::Inca), opt);
         explorer.run();
     }
     const std::vector<std::string> lines = readLines(journal);
     ASSERT_EQ(lines.size(), 9u);
+    ASSERT_NE(lines[1].find("\"scored\":true"), std::string::npos);
+    std::size_t unscored = 1;
+    while (unscored < lines.size() &&
+           lines[unscored].find("\"scored\":false") == std::string::npos)
+        ++unscored;
+    ASSERT_LT(unscored, lines.size());
     struct Mutation
     {
+        std::size_t line;
         const char *key;
         const char *value;
         const char *message;
     };
     const Mutation mutations[] = {
-        {"objectives", "[1,2,3,4]", "objectives holds 4 values"},
-        {"objectives", "[1,2]", "objectives holds 2 values"},
-        {"objectives", "[]", "objectives holds 0 values"},
-        {"index", "99999", "index 99999 is not a candidate"},
-        {"index", "-53", "index -53 is not a candidate"},
-        {"index", "18446744073709551616",
+        {1, "objectives", "[1,2,3,4]",
+         "objectives holds 4 values, but a scored line of this run "
+         "holds 3"},
+        {1, "objectives", "[1,2]", "objectives holds 2 values"},
+        {1, "objectives", "[]", "objectives holds 0 values"},
+        {unscored, "objectives", "[1,2,3]",
+         "objectives holds 3 values, but an unscored line of this run "
+         "holds 0"},
+        {1, "index", "99999", "index 99999 is not a candidate"},
+        {1, "index", "-53", "index -53 is not a candidate"},
+        {1, "index", "18446744073709551616",
          "index 18446744073709551616 is not a candidate"},
-        {"energy_j", "1e999", "energy_j is not finite"},
+        {1, "energy_j", "1e999", "energy_j is not finite"},
     };
+    opt.resume = true;
     for (const Mutation &m : mutations) {
         SCOPED_TRACE(std::string(m.key) + "=" + m.value);
         {
             std::ofstream out(journal);
             for (std::size_t i = 0; i < lines.size(); ++i)
-                out << (i == 1 ? withValue(lines[i], m.key, m.value)
-                               : lines[i])
+                out << (i == m.line
+                            ? withValue(lines[i], m.key, m.value)
+                            : lines[i])
                     << "\n";
         }
-        Explorer resumed(defaultSpace(EngineKind::Inca),
-                         seed7Budget8(journal, true));
+        Explorer resumed(defaultSpace(EngineKind::Inca), opt);
         EXPECT_DEATH(resumed.run(),
-                     std::string("dse_foreign_line\\.jsonl' line 2: ") +
-                         m.message);
+                     "dse_foreign_line\\.jsonl' line " +
+                         std::to_string(m.line + 1) + ": " + m.message);
     }
     std::remove(journal.c_str());
 }
