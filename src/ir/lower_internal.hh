@@ -19,6 +19,10 @@
 namespace inca {
 namespace ir {
 
+/** Instructions in a non-conv layer's group: the activation, then
+ *  its sync. */
+inline constexpr int kAuxCount = 2;
+
 /**
  * A position-independent per-layer instruction group, held inline:
  * dependencies are group-local indices, labels and operands are unset

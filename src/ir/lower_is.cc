@@ -362,7 +362,7 @@ auxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
 {
     trace::Span span(trace::spanName("inca.aux ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g(2);
+    LayerGroup g(kAuxCount);
     Instr &act = g[0];
     Instr &sync = g[1];
     act.op = Op::Activation;
@@ -581,16 +581,17 @@ lowerInca(const arch::IncaConfig &cfg, const nn::NetworkDesc &net,
     p.idlePower = arch::incaIdlePower(cfg);
     p.overlap = opts.overlap;
 
-    // Size every table once: a conv-like layer lowers to a 5-instr
-    // span (plus 5 backward and 4 update instrs when training), any
-    // other layer to a 2-instr span (plus 2 backward).
+    // Size every table once: a conv-like layer lowers to a forward
+    // group (plus a backward and an update group when training), any
+    // other layer to an aux group (plus a backward one); then the exit.
     const std::size_t layers = net.layers.size();
     std::size_t convs = 0;
     for (const LayerDesc &layer : net.layers)
         convs += layer.isConvLike() ? 1 : 0;
     const std::size_t auxes = layers - convs;
-    p.instrs.reserve(training ? 14 * convs + 4 * auxes + 1
-                              : 5 * convs + 2 * auxes + 1);
+    p.instrs.reserve(training ? (2 * kConvCount + kUpdCount) * convs +
+                                    2 * kAuxCount * auxes + 1
+                              : kConvCount * convs + kAuxCount * auxes + 1);
     p.spans.reserve(training ? 2 * layers + convs : layers);
     p.names.reserve(training ? 2 + 2 * layers + convs : 1 + layers);
     p.inputs.reserve(2);

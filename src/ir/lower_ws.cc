@@ -95,6 +95,14 @@ enum
     kExtraSync = 5,
 };
 
+// Sizes of the WS-only groups: the weight reload (stream, program,
+// sync) and a synthetic pipeline span.
+enum
+{
+    kReloadCount = 3,
+    kPipeCount = 1,
+};
+
 LayerGroup
 forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
              const LayerDesc &layer, int batchSize)
@@ -210,7 +218,7 @@ auxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
 {
     trace::Span span(trace::spanName("ws.aux ", layer.name));
     metrics::ScopedTimer timer(layerEvalHistogram());
-    LayerGroup g(2);
+    LayerGroup g(kAuxCount);
     Instr &act = g[0];
     Instr &sync = g[1];
     act.op = Op::Activation;
@@ -267,7 +275,7 @@ LayerGroup
 reloadGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
             bool training)
 {
-    LayerGroup g(3);
+    LayerGroup g(kReloadCount);
     Instr &load = g[0];
     Instr &move = g[1];
     Instr &sync = g[2];
@@ -345,7 +353,7 @@ int
 appendPipelineSpan(Program &p, const std::string &span, Label label,
                    nn::LayerKind kind, Seconds duration, int prevEnd)
 {
-    LayerGroup g(1);
+    LayerGroup g(kPipeCount);
     g[0].op = Op::Sync;
     g[0].unit = Unit::Pipeline;
     g[0].duration = duration;
@@ -376,17 +384,23 @@ lowerWs(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
     // the overlap flag does not change its program.
     p.overlap = opts.overlap;
 
-    // Size every table once. Inference: a 5-instr span per conv-like
-    // layer, 2 per other layer. Training: per conv-like layer the
-    // fwd/bwd/upd stages (5 + 6 + 6) and a pipe instr, per other layer
-    // two 2-instr passes. Then the drain, the reload and the exit.
+    // Size every table once. Inference: a stage group per conv-like
+    // layer, an aux group per other layer. Training: per conv-like
+    // layer the fwd stage group, the bwd and upd ones with their array
+    // store, and a pipe span; per other layer two aux passes. Then the
+    // drain, the reload and the exit.
     const std::size_t layers = net.layers.size();
     std::size_t convs = 0;
     for (const LayerDesc &layer : net.layers)
         convs += layer.isConvLike() ? 1 : 0;
     const std::size_t auxes = layers - convs;
-    p.instrs.reserve(training ? 18 * convs + 4 * auxes + 5
-                              : 5 * convs + 2 * auxes + 5);
+    constexpr std::size_t convTraining =
+        kStageCount + 2 * (kStageCount + 1) + kPipeCount;
+    constexpr std::size_t tail = kPipeCount + kReloadCount + 1;
+    p.instrs.reserve(training
+                         ? convTraining * convs + 2 * kAuxCount * auxes +
+                               tail
+                         : kStageCount * convs + kAuxCount * auxes + tail);
     p.spans.reserve(training ? 4 * convs + 2 * auxes + 2 : layers + 2);
     p.names.reserve(training ? 3 + 2 * layers + convs : 2 + layers);
     p.inputs.reserve(training ? 2 + 2 * convs : 1 + convs);
