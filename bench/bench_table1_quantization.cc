@@ -14,10 +14,7 @@
 #include "bench_common.hh"
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "common/table.hh"
-#include "nn/dataset.hh"
-#include "nn/module.hh"
 #include "nn/trainer.hh"
 
 namespace {
@@ -25,43 +22,37 @@ namespace {
 using namespace inca;
 using namespace inca::nn;
 
-DatasetPair
-task()
-{
-    SyntheticSpec spec;
-    spec.numClasses = 6;
-    spec.channels = 1;
-    spec.size = 12;
-    spec.trainPerClass = 25;
-    spec.testPerClass = 15;
-    spec.seed = 9;
-    spec.pixelNoise = 0.25;
-    return makeSynthetic(spec);
-}
-
 void
 report()
 {
     setQuiet(true);
     bench::banner("Table I: accuracy drop vs. weight / activation "
                   "bit depth (synthetic substitution)");
-    auto data = task();
-    Rng rng(33);
-    auto net = makeSmallResNet(1, 12, 6, 8, rng);
-    TrainConfig cfg;
-    cfg.epochs = 12;
-    cfg.batchSize = 10;
-    cfg.lr = 0.02f;
-    train(*net, data, cfg);
-    const double fp = evaluate(*net, data.test);
-    std::printf("float baseline accuracy: %.1f %%\n", 100.0 * fp);
+    const AccuracyStudy study;
+    auto runs = study.trainRuns({NoiseSpec{}});
+    Sequential &net = *runs[0].net;
 
-    auto accAt = [&](int wBits, int aBits) {
+    // Float first, then W8/A7..A4, W7..W4/A8, and below the paper's
+    // range W8/A3, W3/A8, W8/A2, W2/A8 to expose the breakdown point.
+    std::vector<EvalOptions> options(1);
+    const auto at = [&](int wBits, int aBits) {
         EvalOptions o;
         o.weightBits = wBits;
         o.actBits = aBits;
-        return evaluate(*net, data.test, o);
+        options.push_back(o);
     };
+    for (int bits = 7; bits >= 4; --bits)
+        at(8, bits);
+    for (int bits = 7; bits >= 4; --bits)
+        at(bits, 8);
+    for (int bits : {3, 2}) {
+        at(8, bits);
+        at(bits, 8);
+    }
+    const std::vector<double> acc = study.evaluateAll(net, options);
+    const double fp = acc[0];
+    std::printf("float baseline accuracy: %.1f %%\n", 100.0 * fp);
+    size_t next = 1; // the rows below read acc in the order above
 
     const double paperAct[] = {-0.3, -0.4, -1.3, -3.5};
     const double paperWt[] = {-1.3, -1.1, -3.1, -11.4};
@@ -70,33 +61,32 @@ report()
                  "(paper drop, ImageNet)"});
     for (int i = 0; i < 4; ++i) {
         const int bits = 7 - i;
-        const double acc = accAt(8, bits);
+        const double a = acc[next++];
         char cfgName[32];
         std::snprintf(cfgName, sizeof(cfgName), "W8 / A%d", bits);
-        t.addRow({cfgName, TextTable::num(100.0 * acc, 1) + " %",
-                  TextTable::num(100.0 * (acc - fp), 1) + " %",
+        t.addRow({cfgName, TextTable::num(100.0 * a, 1) + " %",
+                  TextTable::num(100.0 * (a - fp), 1) + " %",
                   TextTable::num(paperAct[i], 1) + " %"});
     }
     t.addRule();
     for (int i = 0; i < 4; ++i) {
         const int bits = 7 - i;
-        const double acc = accAt(bits, 8);
+        const double a = acc[next++];
         char cfgName[32];
         std::snprintf(cfgName, sizeof(cfgName), "W%d / A8", bits);
-        t.addRow({cfgName, TextTable::num(100.0 * acc, 1) + " %",
-                  TextTable::num(100.0 * (acc - fp), 1) + " %",
+        t.addRow({cfgName, TextTable::num(100.0 * a, 1) + " %",
+                  TextTable::num(100.0 * (a - fp), 1) + " %",
                   TextTable::num(paperWt[i], 1) + " %"});
     }
-    // Extend below the paper's range to expose the breakdown point.
     t.addRule();
     for (int bits : {3, 2}) {
         char a[32], b[32];
         std::snprintf(a, sizeof(a), "W8 / A%d", bits);
         std::snprintf(b, sizeof(b), "W%d / A8", bits);
-        t.addRow({a, TextTable::num(100.0 * accAt(8, bits), 1) + " %",
-                  "-", "-"});
-        t.addRow({b, TextTable::num(100.0 * accAt(bits, 8), 1) + " %",
-                  "-", "-"});
+        t.addRow({a, TextTable::num(100.0 * acc[next++], 1) + " %", "-",
+                  "-"});
+        t.addRow({b, TextTable::num(100.0 * acc[next++], 1) + " %", "-",
+                  "-"});
     }
     t.print();
 }

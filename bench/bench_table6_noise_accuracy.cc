@@ -17,10 +17,7 @@
 #include "bench_common.hh"
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "common/table.hh"
-#include "nn/dataset.hh"
-#include "nn/module.hh"
 #include "nn/trainer.hh"
 
 namespace {
@@ -28,60 +25,36 @@ namespace {
 using namespace inca;
 using namespace inca::nn;
 
-DatasetPair
-task()
-{
-    SyntheticSpec spec;
-    spec.numClasses = 6;
-    spec.channels = 1;
-    spec.size = 12;
-    spec.trainPerClass = 25;
-    spec.testPerClass = 15;
-    spec.seed = 9;
-    spec.pixelNoise = 0.25;
-    return makeSynthetic(spec);
-}
-
-double
-trainWithNoise(const DatasetPair &data, NoiseTarget target,
-               double sigma)
-{
-    Rng rng(33);
-    auto net = makeSmallResNet(1, 12, 6, 8, rng);
-    TrainConfig cfg;
-    cfg.epochs = 12;
-    cfg.batchSize = 10;
-    cfg.lr = 0.02f;
-    cfg.noise = NoiseSpec{target, sigma};
-    return train(*net, data, cfg).finalTestAccuracy;
-}
-
 void
 report()
 {
     setQuiet(true);
     bench::banner("Table VI: training accuracy vs. noise strength "
                   "(synthetic substitution)");
-    auto data = task();
-    const double clean =
-        trainWithNoise(data, NoiseTarget::None, 0.0);
-    std::printf("noise-free accuracy: %.1f %%\n", 100.0 * clean);
-
     const double sigmas[] = {0.005, 0.01, 0.02, 0.03, 0.05};
     const double paperWt[] = {82.13, 77.03, 58.36, 48.57, 15.17};
     const double paperAct[] = {89.21, 89.02, 88.50, 87.54, 85.59};
 
+    // The 11 runs are independent: noise-free first, then the weight
+    // and activation runs of each sigma.
+    std::vector<NoiseSpec> noises = {NoiseSpec{NoiseTarget::None, 0.0}};
+    for (const double sigma : sigmas) {
+        noises.push_back(NoiseSpec{NoiseTarget::Weights, sigma});
+        noises.push_back(NoiseSpec{NoiseTarget::Activations, sigma});
+    }
+    const auto runs = AccuracyStudy().trainRuns(noises);
+    const auto accuracy = [&](size_t run) {
+        return runs[run].result.finalTestAccuracy;
+    };
+    std::printf("noise-free accuracy: %.1f %%\n", 100.0 * accuracy(0));
+
     TextTable t({"sigma", "weights noisy (WS)", "(paper)",
                  "activations noisy (INCA)", "(paper)"});
     for (size_t i = 0; i < 5; ++i) {
-        const double accW =
-            trainWithNoise(data, NoiseTarget::Weights, sigmas[i]);
-        const double accA =
-            trainWithNoise(data, NoiseTarget::Activations, sigmas[i]);
         t.addRow({TextTable::num(sigmas[i], 3),
-                  TextTable::num(100.0 * accW, 1) + " %",
+                  TextTable::num(100.0 * accuracy(1 + 2 * i), 1) + " %",
                   TextTable::num(paperWt[i], 2) + " %",
-                  TextTable::num(100.0 * accA, 1) + " %",
+                  TextTable::num(100.0 * accuracy(2 + 2 * i), 1) + " %",
                   TextTable::num(paperAct[i], 2) + " %"});
     }
     t.print();

@@ -19,8 +19,6 @@
 #include "common/random.hh"
 #include "common/table.hh"
 #include "inca/functional.hh"
-#include "nn/dataset.hh"
-#include "nn/module.hh"
 #include "nn/trainer.hh"
 #include "tensor/ops.hh"
 
@@ -96,45 +94,23 @@ main()
     // ----------------------------------------------------------------
     // 4. Miniature Table VI: train under each hardware's noise.
     setQuiet(true);
-    nn::SyntheticSpec spec;
-    spec.numClasses = 6;
-    spec.channels = 1;
-    spec.size = 12;
-    spec.trainPerClass = 25;
-    spec.testPerClass = 15;
-    spec.seed = 9;
-    spec.pixelNoise = 0.25;
-    const auto data = nn::makeSynthetic(spec);
-
-    auto trainWith = [&](nn::NoiseTarget target, double sigma) {
-        Rng netRng(33);
-        auto net = nn::makeSmallResNet(1, 12, 6, 8, netRng);
-        nn::TrainConfig cfg;
-        cfg.epochs = 12;
-        cfg.batchSize = 10;
-        cfg.lr = 0.02f;
-        cfg.noise = nn::NoiseSpec{target, sigma};
-        return nn::train(*net, data, cfg).finalTestAccuracy;
+    const auto runs = nn::AccuracyStudy().trainRuns(
+        {nn::NoiseSpec{nn::NoiseTarget::None, 0.0},
+         nn::NoiseSpec{nn::NoiseTarget::Weights, 0.05},
+         nn::NoiseSpec{nn::NoiseTarget::Activations, 0.05}});
+    const auto accuracy = [&](size_t run) {
+        return TextTable::num(100.0 * runs[run].result.finalTestAccuracy,
+                              1) +
+               " %";
     };
 
     std::printf("\nin-situ training under RRAM noise (sigma = 0.05, "
                 "the paper's harshest point):\n");
     TextTable t({"hardware", "noisy operand", "test accuracy"});
-    t.addRow({"ideal", "-",
-              TextTable::num(
-                  100.0 * trainWith(nn::NoiseTarget::None, 0.0), 1) +
-                  " %"});
+    t.addRow({"ideal", "-", accuracy(0)});
     t.addRow({"WS baseline", "weights (rewritten every update)",
-              TextTable::num(
-                  100.0 * trainWith(nn::NoiseTarget::Weights, 0.05),
-                  1) +
-                  " %"});
-    t.addRow({"INCA", "activations (transient)",
-              TextTable::num(100.0 * trainWith(
-                                         nn::NoiseTarget::Activations,
-                                         0.05),
-                             1) +
-                  " %"});
+              accuracy(1)});
+    t.addRow({"INCA", "activations (transient)", accuracy(2)});
     t.print();
     std::printf("paper (ImageNet ResNet18): WS 15.17 %%, INCA "
                 "85.59 %% at sigma = 0.05.\n");

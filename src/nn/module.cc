@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/thread_pool.hh"
 
 namespace inca {
 namespace nn {
@@ -15,19 +15,12 @@ using tensor::Tensor;
 
 namespace {
 
-/**
- * Plain SGD update, parallel over disjoint weight ranges. The noise
- * application stays serial in the caller: it consumes the layer RNG
- * stream in element order, which must not depend on the thread count.
- */
+/** Plain SGD update. */
 void
 sgdUpdate(Tensor &w, const Tensor &dw, float lr)
 {
-    parallel_for(w.size(), 16384,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         w[i] -= lr * dw[i];
-                 });
+    for (std::int64_t i = 0; i < w.size(); ++i)
+        w[i] -= lr * dw[i];
 }
 
 /**
@@ -118,15 +111,19 @@ Conv2d::Conv2d(std::int64_t inC, std::int64_t outC, int k, int stride,
 Tensor
 Conv2d::forward(const Tensor &x, ForwardCtx &ctx)
 {
-    wEff_ = effectiveWeights(w_, ctx);
+    // Only a training forward keeps state for backward(): inference
+    // reads the module and writes nothing to it, so concurrent
+    // evaluate() calls can share one trained net.
+    Tensor wEff = effectiveWeights(w_, ctx);
+    Tensor y = tensor::conv2d(x, wEff, spec_);
     if (ctx.training) {
         x_ = x;
+        wEff_ = std::move(wEff);
         writeNoiseSigma_ = ctx.noise.target == NoiseTarget::Weights
                                ? ctx.noise.sigma
                                : 0.0;
         writeNoiseRng_ = ctx.rng;
     }
-    Tensor y = tensor::conv2d(x, wEff_, spec_);
     conditionActivations(y, ctx);
     return y;
 }
@@ -165,15 +162,16 @@ DepthwiseConv2d::DepthwiseConv2d(std::int64_t channels, int k, int stride,
 Tensor
 DepthwiseConv2d::forward(const Tensor &x, ForwardCtx &ctx)
 {
-    wEff_ = effectiveWeights(w_, ctx);
+    Tensor wEff = effectiveWeights(w_, ctx);
+    Tensor y = tensor::depthwiseConv2d(x, wEff, spec_);
     if (ctx.training) {
         x_ = x;
+        wEff_ = std::move(wEff);
         writeNoiseSigma_ = ctx.noise.target == NoiseTarget::Weights
                                ? ctx.noise.sigma
                                : 0.0;
         writeNoiseRng_ = ctx.rng;
     }
-    Tensor y = tensor::depthwiseConv2d(x, wEff_, spec_);
     conditionActivations(y, ctx);
     return y;
 }
@@ -209,15 +207,16 @@ Linear::Linear(std::int64_t inF, std::int64_t outF, Rng &rng)
 Tensor
 Linear::forward(const Tensor &x, ForwardCtx &ctx)
 {
-    wEff_ = effectiveWeights(w_, ctx);
+    Tensor wEff = effectiveWeights(w_, ctx);
+    Tensor y = tensor::fc(x, wEff, b_);
     if (ctx.training) {
         x_ = x;
+        wEff_ = std::move(wEff);
         writeNoiseSigma_ = ctx.noise.target == NoiseTarget::Weights
                                ? ctx.noise.sigma
                                : 0.0;
         writeNoiseRng_ = ctx.rng;
     }
-    Tensor y = tensor::fc(x, wEff_, b_);
     conditionActivations(y, ctx);
     return y;
 }

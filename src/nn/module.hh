@@ -4,8 +4,10 @@
  *
  * A small define-by-composition module system sufficient to train CNNs
  * for the paper's accuracy experiments (Table I quantization sweep,
- * Table VI noise study). Each module caches what it needs in forward()
- * and returns input gradients from backward(); step() applies vanilla
+ * Table VI noise study). Each module caches what it needs in a
+ * training forward() -- an inference forward() writes nothing to the
+ * module, so concurrent evaluations may share one net -- and returns
+ * input gradients from backward(); step() applies vanilla
  * SGD (the paper assumes the vanilla gradient-descent optimizer as the
  * most hardware-friendly choice).
  *
@@ -91,7 +93,7 @@ class Conv2d : public Module
     tensor::Tensor w_;   ///< stored (ideal) kernels [F, C, KH, KW]
     tensor::Tensor dw_;  ///< accumulated kernel gradient
     tensor::Tensor x_;   ///< cached forward input
-    tensor::Tensor wEff_; ///< kernels actually used (after noise/quant)
+    tensor::Tensor wEff_; ///< kernels the last training forward used
     tensor::ConvSpec spec_;
     double writeNoiseSigma_ = 0.0; ///< programming noise at step()
     Rng *writeNoiseRng_ = nullptr;

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 #include "tensor/ops.hh"
 
 namespace inca {
@@ -78,6 +79,55 @@ evaluate(Sequential &net, const Dataset &test, const EvalOptions &options)
         correct += tensor::countCorrect(logits, labels);
     }
     return test.count() == 0 ? 0.0 : double(correct) / double(test.count());
+}
+
+SyntheticSpec
+AccuracyStudy::defaultTask()
+{
+    SyntheticSpec spec;
+    spec.numClasses = 6;
+    spec.channels = 1;
+    spec.size = 12;
+    spec.trainPerClass = 25;
+    spec.testPerClass = 15;
+    spec.seed = 9;
+    spec.pixelNoise = 0.25;
+    return spec;
+}
+
+AccuracyStudy::AccuracyStudy(const SyntheticSpec &task)
+    : task_(task), data_(makeSynthetic(task))
+{
+}
+
+std::vector<StudyRun>
+AccuracyStudy::trainRuns(const std::vector<NoiseSpec> &noises) const
+{
+    std::vector<StudyRun> runs(noises.size());
+    parallel_for_each(std::int64_t(noises.size()), 1, [&](std::int64_t i) {
+        Rng rng(33);
+        StudyRun &run = runs[size_t(i)];
+        run.net = makeSmallResNet(task_.channels, task_.size,
+                                  task_.numClasses, 8, rng);
+        TrainConfig cfg;
+        cfg.epochs = 12;
+        cfg.batchSize = 10;
+        cfg.lr = 0.02f;
+        cfg.noise = noises[size_t(i)];
+        run.result = train(*run.net, data_, cfg);
+    });
+    return runs;
+}
+
+std::vector<double>
+AccuracyStudy::evaluateAll(Sequential &net,
+                           const std::vector<EvalOptions> &options) const
+{
+    std::vector<double> accuracy(options.size());
+    parallel_for_each(std::int64_t(options.size()), 1, [&](std::int64_t i) {
+        accuracy[size_t(i)] = evaluate(net, data_.test, options[size_t(i)]);
+    });
+    return accuracy;
 }
 
 } // namespace nn

@@ -7,7 +7,6 @@
 #include "arch/power.hh"
 #include "common/cache.hh"
 #include "common/logging.hh"
-#include "event/analysis.hh"
 #include "event/event.hh"
 #include "ir/lower.hh"
 
@@ -133,7 +132,7 @@ BatchCostModel::cost(const nn::NetworkDesc &net, int batch) const
 {
     inca_assert(batch > 0, "batch %d must be positive", batch);
     const ir::LowerOptions opts{/*overlap=*/true};
-    const ir::Program program =
+    ir::Program program =
         inca_ ? ir::lowerInca(incaCfg_, net, arch::Phase::Inference,
                               batch, opts)
               : ir::lowerWs(wsCfg_, net, arch::Phase::Inference,
@@ -145,17 +144,15 @@ BatchCostModel::cost(const nn::NetworkDesc &net, int batch) const
 
     BatchCost out;
     if (shard_.kind == ShardKind::Tensor && chips > 1) {
-        // Shrink the on-chip compute units by the split; DRAM stays
-        // whole (weights and inputs are broadcast to every chip).
-        ir::Program scaled = event::scaleUnit(
-            program, ir::Unit::Array, 1.0 / double(chips));
-        scaled = event::scaleUnit(scaled, ir::Unit::Adc,
-                                  1.0 / double(chips));
-        scaled = event::scaleUnit(scaled, ir::Unit::Digital,
-                                  1.0 / double(chips));
-        scaled = event::scaleUnit(scaled, ir::Unit::Buffer,
-                                  1.0 / double(chips));
-        const event::TimedRun timed = event::execute(scaled);
+        // Shrink the on-chip compute units by the split, in one pass
+        // over the program; DRAM stays whole (weights and inputs are
+        // broadcast to every chip).
+        for (ir::Instr &in : program.instrs)
+            if (in.unit == ir::Unit::Array || in.unit == ir::Unit::Adc ||
+                in.unit == ir::Unit::Digital ||
+                in.unit == ir::Unit::Buffer)
+                in.duration *= 1.0 / double(chips);
+        const event::TimedRun timed = event::execute(program);
         // Ring all-reduce of every conv-like layer's output: each
         // chip moves 2(S-1)/S of the tensor, in ceil(log2 S) latency
         // hops.

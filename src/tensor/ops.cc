@@ -5,9 +5,7 @@
 #include <limits>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "tensor/kernels/kernels.hh"
 
 namespace inca {
@@ -25,14 +23,11 @@ convOutDim(std::int64_t in, int k, const ConvSpec &spec)
 namespace {
 
 // The blocked GEMM row-range microkernel (deterministic ascending-k
-// accumulation per C element, the property cross-thread and
-// cross-ISA bit-identity rests on) lives in tensor/kernels/ now, one
-// implementation per instruction set; kernels::active() picks the
-// widest one the CPU supports. Callers hoist the KernelSet once per
-// op so a conv counts as one dispatch, not one per pool task.
-
-/** Filters handled per GEMM task (batch x filter-block fan-out). */
-constexpr std::int64_t kFilterBlock = 16;
+// accumulation per C element, the property cross-ISA bit-identity
+// rests on) lives in tensor/kernels/, one implementation per
+// instruction set; kernels::active() picks the widest one the CPU
+// supports. Callers hoist the KernelSet once per op so a conv counts
+// as one dispatch.
 
 /**
  * Shared convolution engine: y[in][of][pix] = sum_k wFlat[of][k] *
@@ -40,10 +35,9 @@ constexpr std::int64_t kFilterBlock = 16;
  * image (k = (ic, kr, kc) ascending -- the naive accumulation order)
  * and wFlat is the [F, C*KH*KW] row-major view of the kernels.
  *
- * Phase 1 packs colsT for all images in parallel (disjoint rows);
- * phase 2 fans the GEMM over batch x filter blocks (disjoint output
- * slices). Out-of-window taps stay exact zeros, reproducing the
- * naive loops' skipped contributions.
+ * It packs colsT for all images, then runs one GEMM per image.
+ * Out-of-window taps stay exact zeros, reproducing the naive loops'
+ * skipped contributions.
  *
  * @p oh / @p ow are passed in rather than derived so callers can
  * request asymmetric overhang (transposed convolution needs up to
@@ -61,105 +55,51 @@ convViaGemm(const float *xData, std::int64_t n, std::int64_t c,
     const std::int64_t pix = oh * ow;
     const kernels::KernelSet &ks = kernels::active();
 
-    // Packed im2col workspace. Zeroed lease: out-of-window taps must
-    // stay exact zeros, reproducing the naive loops' skipped
-    // contributions. Each (image, k) row copies its valid column
+    // Packed im2col workspace, zero-filled: out-of-window taps must
+    // stay exact zeros. Each (image, k) row copies its valid column
     // range in one shot -- the window bounds are affine in ocol, so
     // the per-element bounds checks of the scalar era collapse into
     // an interval [jBegin, jEnd) and one copyRow/gatherRow call.
-    arena::ScratchLease colsT =
-        arena::scratchFloats(std::size_t(n * depth * pix), true);
-    parallel_for(n * depth, 8, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t idx = lo; idx < hi; ++idx) {
-            const std::int64_t in = idx / depth;
-            const std::int64_t k = idx % depth;
-            const std::int64_t ic = k / (kh * kw);
-            const std::int64_t kr = (k / kw) % kh;
-            const std::int64_t kc = k % kw;
-            const float *xp = xData + ((in * c + ic) * h) * wd;
-            float *dst = colsT.data() + idx * pix;
+    std::vector<float> colsT(std::size_t(n * depth * pix));
+    for (std::int64_t idx = 0; idx < n * depth; ++idx) {
+        const std::int64_t in = idx / depth;
+        const std::int64_t k = idx % depth;
+        const std::int64_t ic = k / (kh * kw);
+        const std::int64_t kr = (k / kw) % kh;
+        const std::int64_t kc = k % kw;
+        const float *xp = xData + ((in * c + ic) * h) * wd;
+        float *dst = colsT.data() + idx * pix;
 
-            // Valid ocol satisfy 0 <= ocol*stride + off < wd.
-            const std::int64_t off = kc - padW;
-            const std::int64_t jBegin =
-                off >= 0 ? 0 : (-off + stride - 1) / stride;
-            const std::int64_t jEnd =
-                wd - 1 - off < 0
-                    ? 0
-                    : std::min(ow, (wd - 1 - off) / stride + 1);
-            if (jBegin >= jEnd)
-                continue;
-            const std::int64_t count = jEnd - jBegin;
+        // Valid ocol satisfy 0 <= ocol*stride + off < wd.
+        const std::int64_t off = kc - padW;
+        const std::int64_t jBegin =
+            off >= 0 ? 0 : (-off + stride - 1) / stride;
+        const std::int64_t jEnd =
+            wd - 1 - off < 0 ? 0
+                             : std::min(ow, (wd - 1 - off) / stride + 1);
+        if (jBegin >= jEnd)
+            continue;
+        const std::int64_t count = jEnd - jBegin;
 
-            for (std::int64_t orow = 0; orow < oh; ++orow) {
-                const std::int64_t ir = orow * stride + kr - padH;
-                if (ir < 0 || ir >= h)
-                    continue;
-                const float *src =
-                    xp + ir * wd + jBegin * stride + off;
-                float *drow = dst + orow * ow + jBegin;
-                if (stride == 1)
-                    ks.copyRow(drow, src, count);
-                else
-                    ks.gatherRow(drow, src, count, stride);
-            }
-        }
-    });
-
-    Tensor y({n, f, oh, ow});
-    const std::int64_t nfb = (f + kFilterBlock - 1) / kFilterBlock;
-    parallel_for(n * nfb, 1, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t t = lo; t < hi; ++t) {
-            const std::int64_t in = t / nfb;
-            const std::int64_t f0 = (t % nfb) * kFilterBlock;
-            const std::int64_t f1 = std::min(f0 + kFilterBlock, f);
-            ks.gemmRowRange(wFlat, depth,
-                            colsT.data() + in * depth * pix, pix,
-                            y.data() + in * f * pix, pix, f0, f1,
-                            depth, pix);
-        }
-    });
-    return y;
-}
-
-/**
- * Naive-order input gradient for ONE image: identical loops (and thus
- * identical float accumulation order) to conv2dInputGradNaive, but
- * scoped to the disjoint dx slice of image @p in so images can run in
- * parallel.
- */
-void
-inputGradImage(Tensor &dx, const Tensor &dy, const Tensor &w,
-               std::int64_t in, const ConvSpec &spec)
-{
-    const std::int64_t f = dy.dim(1), oh = dy.dim(2), ow = dy.dim(3);
-    const std::int64_t c = dx.dim(1), h = dx.dim(2), wd = dx.dim(3);
-    const std::int64_t kh = w.dim(2), kw = w.dim(3);
-    for (std::int64_t of = 0; of < f; ++of) {
         for (std::int64_t orow = 0; orow < oh; ++orow) {
-            for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
-                const float g = dy.at(in, of, orow, ocol);
-                if (g == 0.0f)
-                    continue;
-                for (std::int64_t ic = 0; ic < c; ++ic) {
-                    for (std::int64_t kr = 0; kr < kh; ++kr) {
-                        const std::int64_t ir =
-                            orow * spec.stride + kr - spec.pad;
-                        if (ir < 0 || ir >= h)
-                            continue;
-                        for (std::int64_t kc = 0; kc < kw; ++kc) {
-                            const std::int64_t icl =
-                                ocol * spec.stride + kc - spec.pad;
-                            if (icl < 0 || icl >= wd)
-                                continue;
-                            dx.at(in, ic, ir, icl) +=
-                                g * w.at(of, ic, kr, kc);
-                        }
-                    }
-                }
-            }
+            const std::int64_t ir = orow * stride + kr - padH;
+            if (ir < 0 || ir >= h)
+                continue;
+            const float *src = xp + ir * wd + jBegin * stride + off;
+            float *drow = dst + orow * ow + jBegin;
+            if (stride == 1)
+                ks.copyRow(drow, src, count);
+            else
+                ks.gatherRow(drow, src, count, stride);
         }
     }
+
+    Tensor y({n, f, oh, ow});
+    for (std::int64_t in = 0; in < n; ++in)
+        ks.gemmRowRange(wFlat, depth, colsT.data() + in * depth * pix,
+                        pix, y.data() + in * f * pix, pix, 0, f, depth,
+                        pix);
+    return y;
 }
 
 } // namespace
@@ -231,13 +171,40 @@ conv2dInputGradNaive(const Tensor &dy, const Tensor &w,
 {
     inca_assert(dy.rank() == 4 && w.rank() == 4 && xShape.size() == 4,
                 "conv2dInputGrad expects 4-D operands");
-    const std::int64_t n = dy.dim(0), f = dy.dim(1);
-    const std::int64_t c = xShape[1];
+    const std::int64_t n = dy.dim(0), f = dy.dim(1), oh = dy.dim(2),
+                       ow = dy.dim(3);
+    const std::int64_t c = xShape[1], h = xShape[2], wd = xShape[3];
+    const std::int64_t kh = w.dim(2), kw = w.dim(3);
     inca_assert(w.dim(0) == f && w.dim(1) == c, "shape mismatch");
 
     Tensor dx(xShape);
-    for (std::int64_t in = 0; in < n; ++in)
-        inputGradImage(dx, dy, w, in, spec);
+    for (std::int64_t in = 0; in < n; ++in) {
+        for (std::int64_t of = 0; of < f; ++of) {
+            for (std::int64_t orow = 0; orow < oh; ++orow) {
+                for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                    const float g = dy.at(in, of, orow, ocol);
+                    if (g == 0.0f)
+                        continue;
+                    for (std::int64_t ic = 0; ic < c; ++ic) {
+                        for (std::int64_t kr = 0; kr < kh; ++kr) {
+                            const std::int64_t ir =
+                                orow * spec.stride + kr - spec.pad;
+                            if (ir < 0 || ir >= h)
+                                continue;
+                            for (std::int64_t kc = 0; kc < kw; ++kc) {
+                                const std::int64_t icl =
+                                    ocol * spec.stride + kc - spec.pad;
+                                if (icl < 0 || icl >= wd)
+                                    continue;
+                                dx.at(in, ic, ir, icl) +=
+                                    g * w.at(of, ic, kr, kc);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
     return dx;
 }
 
@@ -262,60 +229,46 @@ conv2dInputGrad(const Tensor &dy, const Tensor &w,
     // (of ascending, then flipped taps ascending = orow, ocol
     // ascending) reproduces the naive scatter's accumulation order
     // exactly; the dilation/padding zeros contribute exact zeros.
-    // Padding beyond the kernel falls back to the naive-order
-    // per-image loops, parallel over the batch.
+    // Padding beyond the kernel has no transposed-convolution form;
+    // it takes the naive loops.
     const int padH = int(kh) - 1 - spec.pad;
     const int padW = int(kw) - 1 - spec.pad;
-    if (padH < 0 || padW < 0) {
-        Tensor dx(xShape);
-        parallel_for(n, 1, [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t in = lo; in < hi; ++in)
-                inputGradImage(dx, dy, w, in, spec);
-        });
-        return dx;
-    }
+    if (padH < 0 || padW < 0)
+        return conv2dInputGradNaive(dy, w, xShape, spec);
 
     const float *srcData = dy.data();
     std::int64_t srcH = oh, srcW = ow;
-    arena::ScratchLease dilated;
+    // Zero-filled: the gaps between scattered dy taps must be exact
+    // zeros (they are the dilation).
+    std::vector<float> dilated;
     if (spec.stride > 1) {
         const std::int64_t hd = (oh - 1) * spec.stride + 1;
         const std::int64_t wdd = (ow - 1) * spec.stride + 1;
-        // Zeroed lease: the gaps between scattered dy taps must be
-        // exact zeros (they are the dilation).
-        dilated =
-            arena::scratchFloats(std::size_t(n * f * hd * wdd), true);
-        parallel_for(n * f, 4, [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t plane = lo; plane < hi; ++plane) {
-                const float *s = dy.data() + plane * oh * ow;
-                float *d = dilated.data() + plane * hd * wdd;
-                for (std::int64_t orow = 0; orow < oh; ++orow)
-                    for (std::int64_t ocol = 0; ocol < ow; ++ocol)
-                        d[orow * spec.stride * wdd +
-                          ocol * spec.stride] = s[orow * ow + ocol];
-            }
-        });
+        dilated.resize(std::size_t(n * f * hd * wdd));
+        for (std::int64_t plane = 0; plane < n * f; ++plane) {
+            const float *s = dy.data() + plane * oh * ow;
+            float *d = dilated.data() + plane * hd * wdd;
+            for (std::int64_t orow = 0; orow < oh; ++orow)
+                for (std::int64_t ocol = 0; ocol < ow; ++ocol)
+                    d[orow * spec.stride * wdd + ocol * spec.stride] =
+                        s[orow * ow + ocol];
+        }
         srcData = dilated.data();
         srcH = hd;
         srcW = wdd;
     }
 
-    // wT[ic][of][a][b] = w[of][ic][kh-1-a][kw-1-b]. Unzeroed lease:
-    // every element is written below.
-    arena::ScratchLease wT =
-        arena::scratchFloats(std::size_t(c * f * kh * kw), false);
-    parallel_for(c * f, 16, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t cf = lo; cf < hi; ++cf) {
-            const std::int64_t ic = cf / f;
-            const std::int64_t of = cf % f;
-            const float *wsrc = w.data() + (of * c + ic) * kh * kw;
-            float *wdst = wT.data() + cf * kh * kw;
-            for (std::int64_t a = 0; a < kh; ++a)
-                for (std::int64_t b = 0; b < kw; ++b)
-                    wdst[a * kw + b] =
-                        wsrc[(kh - 1 - a) * kw + (kw - 1 - b)];
-        }
-    });
+    // wT[ic][of][a][b] = w[of][ic][kh-1-a][kw-1-b].
+    std::vector<float> wT(std::size_t(c * f * kh * kw));
+    for (std::int64_t cf = 0; cf < c * f; ++cf) {
+        const std::int64_t ic = cf / f;
+        const std::int64_t of = cf % f;
+        const float *wsrc = w.data() + (of * c + ic) * kh * kw;
+        float *wdst = wT.data() + cf * kh * kw;
+        for (std::int64_t a = 0; a < kh; ++a)
+            for (std::int64_t b = 0; b < kw; ++b)
+                wdst[a * kw + b] = wsrc[(kh - 1 - a) * kw + (kw - 1 - b)];
+    }
 
     return convViaGemm(srcData, n, f, srcH, srcW, wT.data(), c, kh,
                        kw, 1, padH, padW, h, wd);
@@ -390,28 +343,15 @@ conv2dWeightGrad(const Tensor &dy, const Tensor &x,
     const kernels::KernelSet &ks = kernels::active();
 
     // dyT[of][row]: gather the NCHW dy into filter-major order.
-    // Unzeroed lease: every element is written below.
-    arena::ScratchLease dyT =
-        arena::scratchFloats(std::size_t(f * rows), false);
-    parallel_for(f, 1, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t of = lo; of < hi; ++of) {
-            float *dst = dyT.data() + of * rows;
-            for (std::int64_t in = 0; in < n; ++in)
-                ks.copyRow(dst + in * pix,
-                           dy.data() + (in * f + of) * pix, pix);
-        }
-    });
+    std::vector<float> dyT(std::size_t(f * rows));
+    for (std::int64_t of = 0; of < f; ++of)
+        for (std::int64_t in = 0; in < n; ++in)
+            ks.copyRow(dyT.data() + of * rows + in * pix,
+                       dy.data() + (in * f + of) * pix, pix);
 
     Tensor dw(wShape); // [f][depth] row-major, zero-filled
-    const std::int64_t nfb = (f + kFilterBlock - 1) / kFilterBlock;
-    parallel_for(nfb, 1, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t t = lo; t < hi; ++t) {
-            const std::int64_t f0 = t * kFilterBlock;
-            const std::int64_t f1 = std::min(f0 + kFilterBlock, f);
-            ks.gemmRowRange(dyT.data(), rows, cols.data(), depth,
-                            dw.data(), depth, f0, f1, rows, depth);
-        }
-    });
+    ks.gemmRowRange(dyT.data(), rows, cols.data(), depth, dw.data(),
+                    depth, 0, f, rows, depth);
     return dw;
 }
 
@@ -428,32 +368,29 @@ depthwiseConv2d(const Tensor &x, const Tensor &w, const ConvSpec &spec)
     const std::int64_t ow = convOutDim(wd, int(kw), spec);
 
     Tensor y({n, c, oh, ow});
-    parallel_for(n * c, 2, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const std::int64_t in = plane / c;
-            const std::int64_t ic = plane % c;
-            for (std::int64_t orow = 0; orow < oh; ++orow) {
-                for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
-                    float acc = 0.0f;
-                    for (std::int64_t kr = 0; kr < kh; ++kr) {
-                        const std::int64_t ir =
-                            orow * spec.stride + kr - spec.pad;
-                        if (ir < 0 || ir >= h)
+    for (std::int64_t plane = 0; plane < n * c; ++plane) {
+        const std::int64_t in = plane / c;
+        const std::int64_t ic = plane % c;
+        for (std::int64_t orow = 0; orow < oh; ++orow) {
+            for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                float acc = 0.0f;
+                for (std::int64_t kr = 0; kr < kh; ++kr) {
+                    const std::int64_t ir =
+                        orow * spec.stride + kr - spec.pad;
+                    if (ir < 0 || ir >= h)
+                        continue;
+                    for (std::int64_t kc = 0; kc < kw; ++kc) {
+                        const std::int64_t icl =
+                            ocol * spec.stride + kc - spec.pad;
+                        if (icl < 0 || icl >= wd)
                             continue;
-                        for (std::int64_t kc = 0; kc < kw; ++kc) {
-                            const std::int64_t icl =
-                                ocol * spec.stride + kc - spec.pad;
-                            if (icl < 0 || icl >= wd)
-                                continue;
-                            acc += x.at(in, ic, ir, icl) *
-                                   w.at(ic, kr, kc);
-                        }
+                        acc += x.at(in, ic, ir, icl) * w.at(ic, kr, kc);
                     }
-                    y.at(in, ic, orow, ocol) = acc;
                 }
+                y.at(in, ic, orow, ocol) = acc;
             }
         }
-    });
+    }
     return y;
 }
 
@@ -468,32 +405,30 @@ depthwiseConv2dInputGrad(const Tensor &dy, const Tensor &w,
     const std::int64_t kh = w.dim(1), kw = w.dim(2);
 
     Tensor dx(xShape);
-    parallel_for(n * c, 2, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const std::int64_t in = plane / c;
-            const std::int64_t ic = plane % c;
-            for (std::int64_t orow = 0; orow < oh; ++orow) {
-                for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
-                    const float g = dy.at(in, ic, orow, ocol);
-                    if (g == 0.0f)
+    for (std::int64_t plane = 0; plane < n * c; ++plane) {
+        const std::int64_t in = plane / c;
+        const std::int64_t ic = plane % c;
+        for (std::int64_t orow = 0; orow < oh; ++orow) {
+            for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                const float g = dy.at(in, ic, orow, ocol);
+                if (g == 0.0f)
+                    continue;
+                for (std::int64_t kr = 0; kr < kh; ++kr) {
+                    const std::int64_t ir =
+                        orow * spec.stride + kr - spec.pad;
+                    if (ir < 0 || ir >= h)
                         continue;
-                    for (std::int64_t kr = 0; kr < kh; ++kr) {
-                        const std::int64_t ir =
-                            orow * spec.stride + kr - spec.pad;
-                        if (ir < 0 || ir >= h)
+                    for (std::int64_t kc = 0; kc < kw; ++kc) {
+                        const std::int64_t icl =
+                            ocol * spec.stride + kc - spec.pad;
+                        if (icl < 0 || icl >= wd)
                             continue;
-                        for (std::int64_t kc = 0; kc < kw; ++kc) {
-                            const std::int64_t icl =
-                                ocol * spec.stride + kc - spec.pad;
-                            if (icl < 0 || icl >= wd)
-                                continue;
-                            dx.at(in, ic, ir, icl) += g * w.at(ic, kr, kc);
-                        }
+                        dx.at(in, ic, ir, icl) += g * w.at(ic, kr, kc);
                     }
                 }
             }
         }
-    });
+    }
     return dx;
 }
 
@@ -509,34 +444,32 @@ depthwiseConv2dWeightGrad(const Tensor &dy, const Tensor &x,
 
     Tensor dw(wShape);
     // Each channel's dw slice accumulates over (image, orow, ocol) in
-    // the original order; channels partition the output.
-    parallel_for(c, 1, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t ic = lo; ic < hi; ++ic) {
-            for (std::int64_t in = 0; in < n; ++in) {
-                for (std::int64_t orow = 0; orow < oh; ++orow) {
-                    for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
-                        const float g = dy.at(in, ic, orow, ocol);
-                        if (g == 0.0f)
+    // the naive order.
+    for (std::int64_t ic = 0; ic < c; ++ic) {
+        for (std::int64_t in = 0; in < n; ++in) {
+            for (std::int64_t orow = 0; orow < oh; ++orow) {
+                for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                    const float g = dy.at(in, ic, orow, ocol);
+                    if (g == 0.0f)
+                        continue;
+                    for (std::int64_t kr = 0; kr < kh; ++kr) {
+                        const std::int64_t ir =
+                            orow * spec.stride + kr - spec.pad;
+                        if (ir < 0 || ir >= h)
                             continue;
-                        for (std::int64_t kr = 0; kr < kh; ++kr) {
-                            const std::int64_t ir =
-                                orow * spec.stride + kr - spec.pad;
-                            if (ir < 0 || ir >= h)
+                        for (std::int64_t kc = 0; kc < kw; ++kc) {
+                            const std::int64_t icl =
+                                ocol * spec.stride + kc - spec.pad;
+                            if (icl < 0 || icl >= wd)
                                 continue;
-                            for (std::int64_t kc = 0; kc < kw; ++kc) {
-                                const std::int64_t icl =
-                                    ocol * spec.stride + kc - spec.pad;
-                                if (icl < 0 || icl >= wd)
-                                    continue;
-                                dw.at(ic, kr, kc) +=
-                                    g * x.at(in, ic, ir, icl);
-                            }
+                            dw.at(ic, kr, kc) +=
+                                g * x.at(in, ic, ir, icl);
                         }
                     }
                 }
             }
         }
-    });
+    }
     return dw;
 }
 
@@ -550,10 +483,7 @@ matmul(const Tensor &a, const Tensor &b)
 
     Tensor y({m, n});
     const kernels::KernelSet &ks = kernels::active();
-    parallel_for(m, 4, [&](std::int64_t lo, std::int64_t hi) {
-        ks.gemmRowRange(a.data(), k, b.data(), n, y.data(), n, lo, hi,
-                        k, n);
-    });
+    ks.gemmRowRange(a.data(), k, b.data(), n, y.data(), n, 0, m, k, n);
     return y;
 }
 
@@ -563,11 +493,9 @@ transpose(const Tensor &a)
     inca_assert(a.rank() == 2, "transpose expects rank 2");
     const std::int64_t m = a.dim(0), n = a.dim(1);
     Tensor t({n, m});
-    parallel_for(m, 64, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i)
-            for (std::int64_t j = 0; j < n; ++j)
-                t.at(j, i) = a.at(i, j);
-    });
+    for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j)
+            t.at(j, i) = a.at(i, j);
     return t;
 }
 
@@ -582,38 +510,28 @@ im2col(const Tensor &x, int kh, int kw, const ConvSpec &spec)
     const std::int64_t depth = c * std::int64_t(kh) * kw;
 
     Tensor cols({n * oh * ow, depth});
-    parallel_for(n * oh * ow, 32, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t row = lo; row < hi; ++row) {
-            const std::int64_t in = row / (oh * ow);
-            const std::int64_t orow = (row / ow) % oh;
-            const std::int64_t ocol = row % ow;
-            float *dst = cols.data() + row * depth;
-            std::int64_t col = 0;
-            for (std::int64_t ic = 0; ic < c; ++ic) {
-                const float *xp = x.data() + ((in * c + ic) * h) * wd;
-                for (std::int64_t kr = 0; kr < kh; ++kr) {
-                    const std::int64_t ir =
-                        orow * spec.stride + kr - spec.pad;
-                    for (std::int64_t kc = 0; kc < kw; ++kc, ++col) {
-                        const std::int64_t icl =
-                            ocol * spec.stride + kc - spec.pad;
-                        if (ir < 0 || ir >= h || icl < 0 || icl >= wd)
-                            continue;
-                        dst[col] = xp[ir * wd + icl];
-                    }
+    for (std::int64_t row = 0; row < n * oh * ow; ++row) {
+        const std::int64_t in = row / (oh * ow);
+        const std::int64_t orow = (row / ow) % oh;
+        const std::int64_t ocol = row % ow;
+        float *dst = cols.data() + row * depth;
+        std::int64_t col = 0;
+        for (std::int64_t ic = 0; ic < c; ++ic) {
+            const float *xp = x.data() + ((in * c + ic) * h) * wd;
+            for (std::int64_t kr = 0; kr < kh; ++kr) {
+                const std::int64_t ir =
+                    orow * spec.stride + kr - spec.pad;
+                for (std::int64_t kc = 0; kc < kw; ++kc, ++col) {
+                    const std::int64_t icl =
+                        ocol * spec.stride + kc - spec.pad;
+                    if (ir < 0 || ir >= h || icl < 0 || icl >= wd)
+                        continue;
+                    dst[col] = xp[ir * wd + icl];
                 }
             }
         }
-    });
+    }
     return cols;
-}
-
-Tensor
-conv2dGemm(const Tensor &x, const Tensor &w, const ConvSpec &spec)
-{
-    // The unrolled WS-crossbar dataflow IS the production path now;
-    // the name is kept for the paper-facing call sites and tests.
-    return conv2d(x, w, spec);
 }
 
 Tensor
@@ -652,23 +570,12 @@ fcBiasGrad(const Tensor &dy)
     return db;
 }
 
-namespace {
-
-/** Elementwise-map grain: below this size threads cost more than they
- * save. */
-constexpr std::int64_t kMapGrain = 16384;
-
-} // namespace
-
 Tensor
 relu(const Tensor &x)
 {
     Tensor y(x.shape());
-    parallel_for(x.size(), kMapGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         y[i] = std::max(0.0f, x[i]);
-                 });
+    for (std::int64_t i = 0; i < x.size(); ++i)
+        y[i] = std::max(0.0f, x[i]);
     return y;
 }
 
@@ -677,11 +584,8 @@ reluGrad(const Tensor &dy, const Tensor &x)
 {
     inca_assert(dy.shape() == x.shape(), "reluGrad shape mismatch");
     Tensor dx(x.shape());
-    parallel_for(x.size(), kMapGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
-                 });
+    for (std::int64_t i = 0; i < x.size(); ++i)
+        dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
     return dx;
 }
 
@@ -689,11 +593,8 @@ Tensor
 sigmoid(const Tensor &x)
 {
     Tensor y(x.shape());
-    parallel_for(x.size(), kMapGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         y[i] = 1.0f / (1.0f + std::exp(-x[i]));
-                 });
+    for (std::int64_t i = 0; i < x.size(); ++i)
+        y[i] = 1.0f / (1.0f + std::exp(-x[i]));
     return y;
 }
 
@@ -702,11 +603,8 @@ sigmoidGrad(const Tensor &dy, const Tensor &y)
 {
     inca_assert(dy.shape() == y.shape(), "sigmoidGrad shape mismatch");
     Tensor dx(y.shape());
-    parallel_for(y.size(), kMapGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         dx[i] = dy[i] * y[i] * (1.0f - y[i]);
-                 });
+    for (std::int64_t i = 0; i < y.size(); ++i)
+        dx[i] = dy[i] * y[i] * (1.0f - y[i]);
     return dx;
 }
 
@@ -714,11 +612,8 @@ Tensor
 tanhAct(const Tensor &x)
 {
     Tensor y(x.shape());
-    parallel_for(x.size(), kMapGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         y[i] = std::tanh(x[i]);
-                 });
+    for (std::int64_t i = 0; i < x.size(); ++i)
+        y[i] = std::tanh(x[i]);
     return y;
 }
 
@@ -727,11 +622,8 @@ tanhGrad(const Tensor &dy, const Tensor &y)
 {
     inca_assert(dy.shape() == y.shape(), "tanhGrad shape mismatch");
     Tensor dx(y.shape());
-    parallel_for(y.size(), kMapGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                     for (std::int64_t i = lo; i < hi; ++i)
-                         dx[i] = dy[i] * (1.0f - y[i] * y[i]);
-                 });
+    for (std::int64_t i = 0; i < y.size(); ++i)
+        dx[i] = dy[i] * (1.0f - y[i] * y[i]);
     return dx;
 }
 
@@ -745,38 +637,36 @@ maxPool2d(const Tensor &x, int k, const ConvSpec &spec)
     const std::int64_t ow = convOutDim(wd, k, spec);
 
     PoolResult res{Tensor({n, c, oh, ow}), Tensor({n, c, oh, ow})};
-    parallel_for(n * c, 2, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const std::int64_t in = plane / c;
-            const std::int64_t ic = plane % c;
-            for (std::int64_t orow = 0; orow < oh; ++orow) {
-                for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    std::int64_t bestIdx = -1;
-                    for (int kr = 0; kr < k; ++kr) {
-                        const std::int64_t ir =
-                            orow * spec.stride + kr - spec.pad;
-                        if (ir < 0 || ir >= h)
+    for (std::int64_t plane = 0; plane < n * c; ++plane) {
+        const std::int64_t in = plane / c;
+        const std::int64_t ic = plane % c;
+        for (std::int64_t orow = 0; orow < oh; ++orow) {
+            for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                float best = -std::numeric_limits<float>::infinity();
+                std::int64_t bestIdx = -1;
+                for (int kr = 0; kr < k; ++kr) {
+                    const std::int64_t ir =
+                        orow * spec.stride + kr - spec.pad;
+                    if (ir < 0 || ir >= h)
+                        continue;
+                    for (int kc = 0; kc < k; ++kc) {
+                        const std::int64_t icl =
+                            ocol * spec.stride + kc - spec.pad;
+                        if (icl < 0 || icl >= wd)
                             continue;
-                        for (int kc = 0; kc < k; ++kc) {
-                            const std::int64_t icl =
-                                ocol * spec.stride + kc - spec.pad;
-                            if (icl < 0 || icl >= wd)
-                                continue;
-                            const float v = x.at(in, ic, ir, icl);
-                            if (v > best) {
-                                best = v;
-                                bestIdx = ir * wd + icl;
-                            }
+                        const float v = x.at(in, ic, ir, icl);
+                        if (v > best) {
+                            best = v;
+                            bestIdx = ir * wd + icl;
                         }
                     }
-                    inca_assert(bestIdx >= 0, "empty pooling window");
-                    res.output.at(in, ic, orow, ocol) = best;
-                    res.argmax.at(in, ic, orow, ocol) = float(bestIdx);
                 }
+                inca_assert(bestIdx >= 0, "empty pooling window");
+                res.output.at(in, ic, orow, ocol) = best;
+                res.argmax.at(in, ic, orow, ocol) = float(bestIdx);
             }
         }
-    });
+    }
     return res;
 }
 
@@ -794,20 +684,18 @@ maxPool2dGrad(const Tensor &dy, const Tensor &argmax,
     const std::int64_t wd = xShape[3];
 
     Tensor dx(xShape);
-    parallel_for(n * c, 2, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const std::int64_t in = plane / c;
-            const std::int64_t ic = plane % c;
-            for (std::int64_t orow = 0; orow < oh; ++orow) {
-                for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
-                    const auto flat =
-                        std::int64_t(argmax.at(in, ic, orow, ocol));
-                    dx.at(in, ic, flat / wd, flat % wd) +=
-                        dy.at(in, ic, orow, ocol);
-                }
+    for (std::int64_t plane = 0; plane < n * c; ++plane) {
+        const std::int64_t in = plane / c;
+        const std::int64_t ic = plane % c;
+        for (std::int64_t orow = 0; orow < oh; ++orow) {
+            for (std::int64_t ocol = 0; ocol < ow; ++ocol) {
+                const auto flat =
+                    std::int64_t(argmax.at(in, ic, orow, ocol));
+                dx.at(in, ic, flat / wd, flat % wd) +=
+                    dy.at(in, ic, orow, ocol);
             }
         }
-    });
+    }
     return dx;
 }
 
@@ -819,15 +707,13 @@ globalAvgPool(const Tensor &x)
                        wd = x.dim(3);
     Tensor y({n, c});
     const float scale = 1.0f / float(h * wd);
-    parallel_for(n * c, 8, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const float *xp = x.data() + plane * h * wd;
-            float acc = 0.0f;
-            for (std::int64_t i = 0; i < h * wd; ++i)
-                acc += xp[i];
-            y[plane] = acc * scale;
-        }
-    });
+    for (std::int64_t plane = 0; plane < n * c; ++plane) {
+        const float *xp = x.data() + plane * h * wd;
+        float acc = 0.0f;
+        for (std::int64_t i = 0; i < h * wd; ++i)
+            acc += xp[i];
+        y[plane] = acc * scale;
+    }
     return y;
 }
 
@@ -838,14 +724,12 @@ globalAvgPoolGrad(const Tensor &dy, const std::vector<std::int64_t> &xShape)
                        wd = xShape[3];
     Tensor dx(xShape);
     const float scale = 1.0f / float(h * wd);
-    parallel_for(n * c, 8, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t plane = lo; plane < hi; ++plane) {
-            const float g = dy[plane] * scale;
-            float *d = dx.data() + plane * h * wd;
-            for (std::int64_t i = 0; i < h * wd; ++i)
-                d[i] = g;
-        }
-    });
+    for (std::int64_t plane = 0; plane < n * c; ++plane) {
+        const float g = dy[plane] * scale;
+        float *d = dx.data() + plane * h * wd;
+        for (std::int64_t i = 0; i < h * wd; ++i)
+            d[i] = g;
+    }
     return dx;
 }
 

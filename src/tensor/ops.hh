@@ -4,24 +4,22 @@
  *
  * Two convolution paths are provided on purpose:
  *  - conv2d(): the production path -- im2col packing + a cache-blocked
- *    GEMM kernel, parallelized over the batch x filter dimension on
- *    the shared ThreadPool (see common/thread_pool.hh);
+ *    GEMM kernel. That is the unrolled dataflow weight-stationary
+ *    crossbar accelerators (the paper's baseline) execute;
  *  - conv2dNaive() (and the *GradNaive() variants): the direct
  *    scalar-loop convolution, the dataflow INCA's 2T1R planes execute
  *    in hardware, retained as the differential-testing reference.
- * conv2dGemm() aliases the production path; im2col + GEMM is the
- * unrolled dataflow weight-stationary crossbar accelerators (the
- * paper's baseline) execute. Integration tests require all paths to agree
- * bit-for-bit, which is the software analogue of the paper's claim
- * that direct convolution preserves the mathematical result without
- * unrolling.
+ * The tests require both paths to agree bit-for-bit, which is the
+ * software analogue of the paper's claim that direct convolution
+ * preserves the mathematical result without unrolling.
  *
  * Determinism contract: every element of every output is accumulated
  * in a fixed serial order (ascending im2col column order, which is
- * exactly the naive loops' accumulation order), and parallel tasks
- * own disjoint output slices -- no atomics on floats, no cross-task
- * reductions. Results are therefore bit-identical at every thread
- * count, including INCA_NUM_THREADS=1.
+ * exactly the naive loops' accumulation order), whatever kernel ISA
+ * runs it. The ops run serially on the calling thread and touch no
+ * shared state, so independent calls may run concurrently; the
+ * accuracy studies fan out whole training runs instead
+ * (nn/trainer.hh).
  *
  * Layouts: activations NCHW; convolution weights (F out, C in, KH, KW);
  * depthwise weights (C, KH, KW); FC weights (D in, F out).
@@ -50,8 +48,7 @@ std::int64_t convOutDim(std::int64_t in, int k, const ConvSpec &spec);
 
 /**
  * 2-D convolution (cross-correlation as in DNN frameworks), computed
- * via im2col + blocked GEMM in parallel. Bit-identical to
- * conv2dNaive() at every thread count.
+ * via im2col + blocked GEMM. Bit-identical to conv2dNaive().
  *
  * @param x input activations [N, C, H, W]
  * @param w kernels [F, C, KH, KW]
@@ -71,7 +68,7 @@ Tensor conv2dWeightGrad(const Tensor &dy, const Tensor &x,
                         const ConvSpec &spec = {});
 
 /**
- * Reference implementations: the single-threaded 6-deep scalar loops,
+ * Reference implementations: the 6-deep scalar loops,
  * exactly the arithmetic INCA's planes execute in hardware. The
  * differential tests require the production paths above to match
  * these bit-for-bit.
@@ -121,10 +118,6 @@ Tensor transpose(const Tensor &a);
  * @return [N * OH * OW, C * KH * KW]
  */
 Tensor im2col(const Tensor &x, int kh, int kw, const ConvSpec &spec = {});
-
-/** Convolution via im2col + GEMM; must equal conv2d() exactly. */
-Tensor conv2dGemm(const Tensor &x, const Tensor &w,
-                  const ConvSpec &spec = {});
 
 /** Fully connected layer: [N, D] x [D, F] + bias[F] -> [N, F]. */
 Tensor fc(const Tensor &x, const Tensor &w, const Tensor &bias);

@@ -125,7 +125,7 @@ TEST(IncaFunctional, MatchesGemmPathToo)
     Tensor w = randomSigned({3, 2, 3, 3}, 8, rng);
     IncaFunctional array({8, 8, 8, 8, 4});
     Tensor hw = array.conv2d(x, w, {1, 1});
-    Tensor gemm = tensor::conv2dGemm(x, w, {1, 1});
+    Tensor gemm = tensor::conv2d(x, w, {1, 1});
     EXPECT_TRUE(hw.equals(gemm));
 }
 

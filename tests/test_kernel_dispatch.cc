@@ -8,12 +8,11 @@
  * way -- run every available KernelSet against the scalar one over an
  * adversarial shape sweep (K=1 depths, vector-tail column counts,
  * stride > 1 gathers, padded/dilated grads, non-contiguous source
- * views) at 1, 2 and 8 pool threads, and demand 0-ULP agreement.
+ * views) and demand 0-ULP agreement.
  *
  * Also covered here: the dispatch machinery itself (parseIsa, the
  * INCA_KERNEL_ISA override with its fatal() on bogus values, the
- * kernel.dispatch.<isa> counters) and the arena scratch pool the
- * vectorized im2col path leases its workspaces from.
+ * kernel.dispatch.<isa> counters).
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/metrics.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
@@ -39,8 +37,6 @@ namespace {
 
 using tensor::ConvSpec;
 using tensor::Tensor;
-
-const std::vector<int> kThreadCounts = {1, 2, 8};
 
 /** Every test leaves dispatch and the pool in their defaults. */
 class KernelDispatch : public ::testing::Test
@@ -434,7 +430,7 @@ const std::vector<ConvCase> kConvCases = {
     {2, 2, 2, 13, 33, 5, 3, 2, 2},  // wide input, 512 tail outputs
 };
 
-TEST_F(KernelDispatch, ConvForwardBitIdenticalAcrossIsasAndThreads)
+TEST_F(KernelDispatch, ConvForwardBitIdenticalAcrossIsas)
 {
     const auto isas = kernels::availableIsas();
     for (const auto &cs : kConvCases) {
@@ -446,23 +442,18 @@ TEST_F(KernelDispatch, ConvForwardBitIdenticalAcrossIsasAndThreads)
         const ConvSpec spec{cs.stride, cs.pad};
 
         kernels::setActive(kernels::Isa::Scalar);
-        ThreadPool::setGlobalThreads(1);
         const Tensor ref = tensor::conv2d(x, w, spec);
         EXPECT_TRUE(ref.equals(tensor::conv2dNaive(x, w, spec)));
 
         for (kernels::Isa isa : isas) {
+            SCOPED_TRACE(kernels::isaName(isa));
             kernels::setActive(isa);
-            for (int threads : kThreadCounts) {
-                SCOPED_TRACE(std::string(kernels::isaName(isa)) +
-                             "/t" + std::to_string(threads));
-                ThreadPool::setGlobalThreads(threads);
-                EXPECT_TRUE(tensor::conv2d(x, w, spec).equals(ref));
-            }
+            EXPECT_TRUE(tensor::conv2d(x, w, spec).equals(ref));
         }
     }
 }
 
-TEST_F(KernelDispatch, ConvGradsBitIdenticalAcrossIsasAndThreads)
+TEST_F(KernelDispatch, ConvGradsBitIdenticalAcrossIsas)
 {
     const auto isas = kernels::availableIsas();
     for (const auto &cs : kConvCases) {
@@ -477,7 +468,6 @@ TEST_F(KernelDispatch, ConvGradsBitIdenticalAcrossIsasAndThreads)
         const Tensor dy = Tensor::randn({cs.n, cs.f, oh, ow}, rng);
 
         kernels::setActive(kernels::Isa::Scalar);
-        ThreadPool::setGlobalThreads(1);
         const Tensor refDx =
             tensor::conv2dInputGrad(dy, w, x.shape(), spec);
         const Tensor refDw =
@@ -488,23 +478,17 @@ TEST_F(KernelDispatch, ConvGradsBitIdenticalAcrossIsasAndThreads)
             tensor::conv2dWeightGradNaive(dy, x, w.shape(), spec)));
 
         for (kernels::Isa isa : isas) {
+            SCOPED_TRACE(kernels::isaName(isa));
             kernels::setActive(isa);
-            for (int threads : kThreadCounts) {
-                SCOPED_TRACE(std::string(kernels::isaName(isa)) +
-                             "/t" + std::to_string(threads));
-                ThreadPool::setGlobalThreads(threads);
-                EXPECT_TRUE(
-                    tensor::conv2dInputGrad(dy, w, x.shape(), spec)
-                        .equals(refDx));
-                EXPECT_TRUE(
-                    tensor::conv2dWeightGrad(dy, x, w.shape(), spec)
-                        .equals(refDw));
-            }
+            EXPECT_TRUE(tensor::conv2dInputGrad(dy, w, x.shape(), spec)
+                            .equals(refDx));
+            EXPECT_TRUE(tensor::conv2dWeightGrad(dy, x, w.shape(), spec)
+                            .equals(refDw));
         }
     }
 }
 
-TEST_F(KernelDispatch, MatmulBitIdenticalAcrossIsasAndThreads)
+TEST_F(KernelDispatch, MatmulBitIdenticalAcrossIsas)
 {
     const std::vector<std::array<std::int64_t, 3>> shapes = {
         {1, 1, 1},  {2, 1, 17}, {5, 3, 1},  {4, 9, 8},
@@ -519,101 +503,14 @@ TEST_F(KernelDispatch, MatmulBitIdenticalAcrossIsasAndThreads)
         const Tensor b = Tensor::randn({k, n}, rng);
 
         kernels::setActive(kernels::Isa::Scalar);
-        ThreadPool::setGlobalThreads(1);
         const Tensor ref = tensor::matmul(a, b);
 
         for (kernels::Isa isa : isas) {
+            SCOPED_TRACE(kernels::isaName(isa));
             kernels::setActive(isa);
-            for (int threads : kThreadCounts) {
-                SCOPED_TRACE(std::string(kernels::isaName(isa)) +
-                             "/t" + std::to_string(threads));
-                ThreadPool::setGlobalThreads(threads);
-                EXPECT_TRUE(tensor::matmul(a, b).equals(ref));
-            }
+            EXPECT_TRUE(tensor::matmul(a, b).equals(ref));
         }
     }
-}
-
-/* ------------------------------------------------------------------ */
-/* Arena scratch pool                                                 */
-/* ------------------------------------------------------------------ */
-
-TEST_F(KernelDispatch, ArenaReusesBuffersAndCountsHonestly)
-{
-    arena::trim();
-    const auto s0 = arena::stats();
-    {
-        auto lease = arena::scratchFloats(1024, false);
-        EXPECT_GE(lease.size(), 1024u);
-        ASSERT_NE(lease.data(), nullptr);
-        lease.data()[0] = 1.0f;
-        lease.data()[1023] = 2.0f;
-    }
-    auto s1 = arena::stats();
-    EXPECT_EQ(s1.leases, s0.leases + 1);
-    EXPECT_EQ(s1.misses, s0.misses + 1);
-    EXPECT_EQ(s1.cachedBuffers, 1u);
-    EXPECT_GE(s1.cachedBytes, 1024 * sizeof(float));
-
-    // A smaller request is served from the cached buffer.
-    {
-        auto lease = arena::scratchFloats(512, false);
-        EXPECT_EQ(lease.size(), 512u);
-    }
-    auto s2 = arena::stats();
-    EXPECT_EQ(s2.leases, s1.leases + 1);
-    EXPECT_EQ(s2.hits, s1.hits + 1);
-    EXPECT_EQ(s2.cachedBuffers, 1u);
-
-    arena::trim();
-    auto s3 = arena::stats();
-    EXPECT_EQ(s3.cachedBuffers, 0u);
-    EXPECT_EQ(s3.cachedBytes, 0u);
-    // trim() leaves the counters running.
-    EXPECT_EQ(s3.leases, s2.leases);
-}
-
-TEST_F(KernelDispatch, ArenaZeroFillClearsRecycledMemory)
-{
-    arena::trim();
-    {
-        auto dirty = arena::scratchFloats(256, false);
-        for (std::size_t i = 0; i < dirty.size(); ++i)
-            dirty.data()[i] = 42.0f;
-    }
-    // Same buffer comes back; zero=true must wipe the old contents
-    // (the im2col packing relies on exact zero padding).
-    auto clean = arena::scratchFloats(256, true);
-    const auto s = arena::stats();
-    EXPECT_GE(s.hits, 1u);
-    for (std::size_t i = 0; i < clean.size(); ++i)
-        ASSERT_EQ(clean.data()[i], 0.0f) << "index " << i;
-}
-
-TEST_F(KernelDispatch, ArenaLeaseIsMovable)
-{
-    arena::trim();
-    auto a = arena::scratchFloats(64, true);
-    float *p = a.data();
-    arena::ScratchLease b = std::move(a);
-    EXPECT_EQ(b.data(), p);
-    EXPECT_EQ(b.size(), 64u);
-    EXPECT_EQ(a.size(), 0u);
-
-    arena::ScratchLease c;
-    c = std::move(b);
-    EXPECT_EQ(c.data(), p);
-    EXPECT_EQ(c.size(), 64u);
-}
-
-TEST_F(KernelDispatch, ArenaConcurrentLeasesAreDistinctBuffers)
-{
-    arena::trim();
-    auto a = arena::scratchFloats(128, true);
-    auto b = arena::scratchFloats(128, true);
-    EXPECT_NE(a.data(), b.data());
-    a.data()[0] = 1.0f;
-    EXPECT_EQ(b.data()[0], 0.0f);
 }
 
 } // namespace

@@ -78,7 +78,6 @@ TEST(PropertyConv, ProductionPathsMatchNaiveBitForBit)
         const auto c = randomConvCase(rng);
         const auto ref = tensor::conv2dNaive(c.x, c.w, c.spec);
         EXPECT_TRUE(tensor::conv2d(c.x, c.w, c.spec).equals(ref));
-        EXPECT_TRUE(tensor::conv2dGemm(c.x, c.w, c.spec).equals(ref));
     }
 }
 

@@ -110,9 +110,11 @@ TEST_P(ConvGemmEquivalence, GemmMatchesDirect)
     Tensor x = Tensor::randn({p.batch, p.c, p.h, p.h}, rng);
     Tensor w = Tensor::randn({p.f, p.c, p.k, p.k}, rng);
     const ConvSpec spec{p.stride, p.pad};
-    Tensor direct = conv2d(x, w, spec);
-    Tensor gemm = conv2dGemm(x, w, spec);
-    EXPECT_TRUE(direct.allClose(gemm, 1e-4f))
+    // conv2d unrolls into im2col + GEMM, as WS crossbars do;
+    // conv2dNaive slides the window directly, as INCA's planes do.
+    Tensor gemm = conv2d(x, w, spec);
+    Tensor direct = conv2dNaive(x, w, spec);
+    EXPECT_TRUE(gemm.equals(direct))
         << "GEMM path diverged from direct convolution";
 }
 

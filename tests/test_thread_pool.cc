@@ -3,9 +3,8 @@
  * ThreadPool semantics tests: exactly-once index coverage, nested
  * submission (no deadlock -- inner loops run inline on the worker),
  * exception propagation to the submitting thread, pool reusability
- * after a throw, an end-to-end check that a full Trainer run is
- * bit-identical at 1 and 4 lanes, and the INCA_NUM_THREADS failures
- * that must be fatal.
+ * after a throw, and the INCA_NUM_THREADS failures that must be
+ * fatal.
  */
 
 #include <gtest/gtest.h>
@@ -17,17 +16,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/random.hh"
 #include "common/thread_pool.hh"
-#include "nn/dataset.hh"
-#include "nn/module.hh"
-#include "nn/trainer.hh"
 
 // Sanitizer runtimes reserve their shadow memory up front.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -150,36 +144,6 @@ TEST_F(ThreadPoolTest, ThreadCountClampsAndReports)
     EXPECT_EQ(ThreadPool::globalThreadCount(), 3);
 }
 
-nn::DatasetPair
-tinyTask()
-{
-    nn::SyntheticSpec spec;
-    spec.numClasses = 3;
-    spec.size = 8;
-    spec.trainPerClass = 8;
-    spec.testPerClass = 4;
-    return nn::makeSynthetic(spec);
-}
-
-std::unique_ptr<nn::Sequential>
-tinyNet(std::uint64_t seed)
-{
-    Rng rng(seed);
-    auto net = std::make_unique<nn::Sequential>();
-    net->emplace<nn::Conv2d>(1, 4, 3, 1, 1, rng)
-        .emplace<nn::ReLU>()
-        .emplace<nn::MaxPool2d>(2)
-        .emplace<nn::Flatten>()
-        .emplace<nn::Linear>(4 * 4 * 4, 3, rng);
-    return net;
-}
-
-/**
- * End-to-end determinism: an identical Trainer run (same seeds, same
- * data) must produce bit-identical losses and accuracies whether the
- * tensor ops run on 1 lane or 4 -- the software analogue of the
- * paper's claim that the dataflow does not change the math.
- */
 // The env-sized global pool is built once per process, so each case
 // runs in a freshly started child whatever style the binary was
 // launched with.
@@ -233,33 +197,6 @@ TEST(ThreadPoolDeath, WorkerThatCannotStartIsFatal)
         },
         ::testing::ExitedWithCode(1),
         "cannot start a pool of 100000 threads");
-}
-
-TEST_F(ThreadPoolTest, TrainerIsBitIdenticalAcrossThreadCounts)
-{
-    const auto data = tinyTask();
-    nn::TrainConfig cfg;
-    cfg.epochs = 2;
-    cfg.batchSize = 4;
-    cfg.lr = 0.05f;
-
-    ThreadPool::setGlobalThreads(1);
-    auto netSerial = tinyNet(99);
-    const auto serial = nn::train(*netSerial, data, cfg);
-
-    ThreadPool::setGlobalThreads(4);
-    auto netParallel = tinyNet(99);
-    const auto parallel = nn::train(*netParallel, data, cfg);
-
-    ASSERT_EQ(serial.epochLoss.size(), parallel.epochLoss.size());
-    for (size_t e = 0; e < serial.epochLoss.size(); ++e) {
-        EXPECT_EQ(serial.epochLoss[e], parallel.epochLoss[e])
-            << "epoch " << e;
-        EXPECT_EQ(serial.epochTestAccuracy[e],
-                  parallel.epochTestAccuracy[e])
-            << "epoch " << e;
-    }
-    EXPECT_EQ(serial.finalTestAccuracy, parallel.finalTestAccuracy);
 }
 
 } // namespace

@@ -2,13 +2,18 @@
  * @file
  * Training-loop tests, including the small-scale version of the
  * paper's Table VI invariant: RRAM noise on weights (WS) degrades
- * accuracy far more than the same noise on activations (IS / INCA).
+ * accuracy far more than the same noise on activations (IS / INCA),
+ * and the AccuracyStudy fan-out of whole runs and evaluations.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/thread_pool.hh"
 #include "nn/dataset.hh"
 #include "nn/module.hh"
 #include "nn/trainer.hh"
@@ -168,6 +173,112 @@ TEST(Trainer, NoiseAccuracyDegradesWithSigma)
     const double accMild = evaluate(*net, data.test, mild);
     const double accSevere = evaluate(*net, data.test, severe);
     EXPECT_GE(accMild, accSevere);
+}
+
+TEST(Trainer, ConcurrentEvaluateCallsMatchSerialOnes)
+{
+    // An inference forward writes nothing to the net, so evaluate()
+    // calls under distinct hardware effects may share one trained
+    // net. Each thread repeats its call to widen the overlap.
+    setQuiet(true);
+    auto data = smallTask();
+    auto net = smallNet();
+    TrainConfig cfg;
+    cfg.epochs = 4;
+    cfg.batchSize = 8;
+    cfg.lr = 0.05f;
+    train(*net, data, cfg);
+
+    std::vector<EvalOptions> options(6);
+    options[1].weightBits = 3;
+    options[2].actBits = 3;
+    options[3].noise = NoiseSpec{NoiseTarget::Weights, 0.3};
+    options[4].noise = NoiseSpec{NoiseTarget::Activations, 0.3};
+    options[5].weightBits = 2;
+    options[5].noise = NoiseSpec{NoiseTarget::Weights, 0.1};
+    std::vector<double> serial;
+    for (const EvalOptions &o : options)
+        serial.push_back(evaluate(*net, data.test, o));
+
+    const int rounds = 20;
+    std::vector<std::vector<double>> concurrent(options.size());
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < options.size(); ++i)
+        threads.emplace_back([&, i] {
+            for (int r = 0; r < rounds; ++r)
+                concurrent[i].push_back(
+                    evaluate(*net, data.test, options[i]));
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (size_t i = 0; i < options.size(); ++i)
+        EXPECT_EQ(concurrent[i], std::vector<double>(rounds, serial[i]))
+            << "options " << i;
+}
+
+/** Every study case leaves the pool in the serial default. */
+class Study : public ::testing::Test
+{
+  protected:
+    void SetUp() override { setQuiet(true); }
+    void TearDown() override { ThreadPool::setGlobalThreads(1); }
+};
+
+TEST_F(Study, TrainAndEvaluateMatchSerialCallsAtEveryLaneCount)
+{
+    SyntheticSpec tiny;
+    tiny.numClasses = 3;
+    tiny.size = 8;
+    tiny.trainPerClass = 4;
+    tiny.testPerClass = 3;
+    const AccuracyStudy study(tiny);
+    const std::vector<NoiseSpec> noises = {
+        NoiseSpec{},
+        NoiseSpec{NoiseTarget::Weights, 0.05},
+        NoiseSpec{NoiseTarget::Activations, 0.05},
+        NoiseSpec{NoiseTarget::Weights, 0.2},
+    };
+    std::vector<EvalOptions> options(5);
+    options[1].weightBits = 3;
+    options[2].actBits = 2;
+    options[3].noise = NoiseSpec{NoiseTarget::Weights, 0.2};
+    options[4].noise = NoiseSpec{NoiseTarget::Activations, 0.2};
+
+    // The reference: one run and one evaluation at a time.
+    ThreadPool::setGlobalThreads(1);
+    std::vector<StudyRun> serial;
+    for (const NoiseSpec &noise : noises)
+        serial.push_back(std::move(study.trainRuns({noise})[0]));
+    std::vector<double> serialAcc;
+    for (const EvalOptions &o : options)
+        serialAcc.push_back(evaluate(*serial[0].net, study.data().test, o));
+
+    for (const int lanes : {1, 2, 4}) {
+        SCOPED_TRACE(lanes);
+        ThreadPool::setGlobalThreads(lanes);
+        const std::vector<StudyRun> runs = study.trainRuns(noises);
+        ASSERT_EQ(runs.size(), noises.size());
+        for (size_t i = 0; i < runs.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(runs[i].result.epochLoss, serial[i].result.epochLoss);
+            EXPECT_EQ(runs[i].result.epochTestAccuracy,
+                      serial[i].result.epochTestAccuracy);
+        }
+        EXPECT_EQ(study.evaluateAll(*serial[0].net, options), serialAcc);
+    }
+}
+
+TEST_F(Study, TrainOnChipAccuraciesArePinned)
+{
+    // train_on_chip's three runs, which are also Table VI's
+    // noise-free, W 0.05 and A 0.05 runs; each is a count of the 90
+    // test images.
+    const auto runs = AccuracyStudy().trainRuns(
+        {NoiseSpec{}, NoiseSpec{NoiseTarget::Weights, 0.05},
+         NoiseSpec{NoiseTarget::Activations, 0.05}});
+    EXPECT_EQ(runs[0].result.finalTestAccuracy, 89.0 / 90.0);
+    EXPECT_EQ(runs[1].result.finalTestAccuracy, 15.0 / 90.0);
+    EXPECT_EQ(runs[2].result.finalTestAccuracy, 88.0 / 90.0);
 }
 
 } // namespace
