@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-command reproduction: build, run the full test suite, and
-# regenerate every table/figure of the paper (plus the ablations).
-# Outputs land in test_output.txt and bench_output.txt next to this
-# repository's root.
+# regenerate every table and figure of the paper (plus the ablations)
+# with the paper scoreboard on top. Outputs land in test_output.txt
+# and paper_report.md next to this repository's root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,18 +11,7 @@ cmake --build build -j "$(nproc)"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# The printers are exactly bench/CMakeLists.txt's INCA_BENCHES; the
-# other bench binaries time kernels (bench_kernels) or gate those
-# timings (bench_compare).
-printers=$(sed -n '/^set(INCA_BENCHES/,/)/p' bench/CMakeLists.txt |
-    grep -o 'bench_[a-z0-9_]*')
-{
-    for b in $printers; do
-        echo "################ build/bench/$b"
-        "build/bench/$b"
-        echo
-    done
-} 2>&1 | tee bench_output.txt
+build/examples/paper_report paper_report.md
 
 echo
-echo "done: see test_output.txt, bench_output.txt, EXPERIMENTS.md"
+echo "done: see test_output.txt, paper_report.md, EXPERIMENTS.md"

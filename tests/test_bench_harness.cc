@@ -106,6 +106,7 @@ TEST(BenchJson, SchemaFieldsSurviveTheCompareParser)
     bench::JsonReport report;
     report.addBenchmark(
         makeRun("gemm", "scalar", {5.0, 1.0, 2.0, 3.0, 100.0}, 1));
+    report.addPoint("speedup_vs_scalar", "gemm/scalar", 1.0);
     std::string err;
     const JsonValue root = parseJson(report.toJson(), err);
     ASSERT_TRUE(err.empty()) << err;
@@ -113,6 +114,12 @@ TEST(BenchJson, SchemaFieldsSurviveTheCompareParser)
     const JsonValue *schema = root.get("schema");
     ASSERT_NE(schema, nullptr);
     EXPECT_EQ(schema->string, std::string(bench::kBenchSchema));
+
+    // The registered series and the process metrics travel along.
+    const JsonValue *series = root.get("series");
+    ASSERT_NE(series, nullptr);
+    EXPECT_FALSE(series->object.empty());
+    EXPECT_NE(root.get("metrics"), nullptr);
 
     const JsonValue *benches = root.get("benchmarks");
     ASSERT_NE(benches, nullptr);

@@ -127,14 +127,6 @@ TEST(Adc, ConversionLatency)
     EXPECT_GT(a8.conversionLatency(), a4.conversionLatency());
 }
 
-TEST(Adc, AreaAnchorsReproduceTableV)
-{
-    // Table V: 16128 ADCs -> 30.298 mm^2 (8-bit) / 4.5864 mm^2
-    // (4-bit).
-    EXPECT_NEAR(makeAdc(8).area * 16128.0, 30.298e-6, 0.2e-6);
-    EXPECT_NEAR(makeAdc(4).area * 16128.0, 4.5864e-6, 0.05e-6);
-}
-
 /** Energy and area must grow monotonically with resolution. */
 class AdcMonotone : public ::testing::TestWithParam<int>
 {
@@ -156,15 +148,6 @@ TEST(AdcDeath, BadResolutionPanics)
 {
     EXPECT_DEATH(makeAdc(0), "resolution");
     EXPECT_DEATH(makeAdc(13), "resolution");
-}
-
-TEST(Dac, TableVAreaAnchors)
-{
-    const DacModel dac = makeDac();
-    // Baseline: 16128 x 128 DACs -> 0.343 mm^2.
-    EXPECT_NEAR(dac.area * 16128.0 * 128.0, 0.343e-6, 0.01e-6);
-    // INCA: 16128 x 256 DACs -> 0.686 mm^2.
-    EXPECT_NEAR(dac.area * 16128.0 * 256.0, 0.686e-6, 0.02e-6);
 }
 
 TEST(Digital, AdderTreeEnergy)

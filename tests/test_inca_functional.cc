@@ -79,7 +79,10 @@ INSTANTIATE_TEST_SUITE_P(
         FunctionalCase{1, 4, 8, 3, 1, 1, 0},   // pointwise
         FunctionalCase{2, 1, 12, 2, 3, 1, 0},  // no padding
         FunctionalCase{1, 3, 7, 2, 2, 1, 0},   // even kernel
-        FunctionalCase{4, 2, 8, 2, 3, 1, 1})); // batch on planes
+        FunctionalCase{4, 2, 8, 2, 3, 1, 1},   // batch on planes
+        // The reference is im2col + GEMM, so every case also checks
+        // that IS direct convolution computes what WS unrolling does.
+        FunctionalCase{1, 2, 8, 3, 3, 1, 1})); // three filters
 
 TEST(IncaFunctional, DepthwiseMatchesReference)
 {
@@ -112,21 +115,6 @@ TEST(IncaFunctional, HaloWindowsSpanPartitions)
             EXPECT_EQ(hw.at(0, 0, r, c), ref.at(0, 0, r, c))
                 << "halo mismatch at " << r << "," << c;
     EXPECT_TRUE(hw.equals(ref));
-}
-
-TEST(IncaFunctional, MatchesGemmPathToo)
-{
-    // Direct convolution on the array == im2col GEMM in software:
-    // the software analogue of the paper's claim that IS direct
-    // convolution computes the same function WS computes by
-    // unrolling.
-    Rng rng(80);
-    Tensor x = randomUnsigned({1, 2, 8, 8}, 8, rng);
-    Tensor w = randomSigned({3, 2, 3, 3}, 8, rng);
-    IncaFunctional array({8, 8, 8, 8, 4});
-    Tensor hw = array.conv2d(x, w, {1, 1});
-    Tensor gemm = tensor::conv2d(x, w, {1, 1});
-    EXPECT_TRUE(hw.equals(gemm));
 }
 
 TEST(IncaFunctional, ErrorBackpropMatchesInputGrad)

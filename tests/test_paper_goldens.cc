@@ -18,6 +18,9 @@
  *  - Fig. 11 / Fig. 14: per-network energy-efficiency gain and
  *    speedup at batch 64 (snapshot in goldens_fig11_fig14.inc,
  *    regenerated by scripts/regen_goldens.sh)
+ *
+ * The PaperScoreboard cases check the other side: how far each of
+ * these values sits from the number the paper prints (sim/paper.hh).
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +37,7 @@
 #include "dataflow/footprint.hh"
 #include "inca/engine.hh"
 #include "nn/model_zoo.hh"
+#include "sim/paper.hh"
 
 namespace inca {
 namespace {
@@ -209,6 +213,63 @@ TEST(PaperGoldens, Table5HeadlineRatios)
     EXPECT_NEAR(base.array / inca.array, 9.977, 0.01);
     EXPECT_NEAR(base.adc / inca.adc, 6.613, 0.01);
     EXPECT_NEAR(base.total() / inca.total(), 1.756, 0.01);
+}
+
+TEST(PaperScoreboard, EveryAnalyticRowSitsOnItsTightestRung)
+{
+    const auto rows = sim::analyticRows();
+    ASSERT_FALSE(rows.empty());
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.name);
+        const double gap = row.gap();
+        EXPECT_LE(gap, row.tolerance)
+            << "ours " << row.ours << " vs paper " << row.paper
+            << " is outside the tolerance";
+        EXPECT_EQ(sim::tightestRung(gap), row.tolerance)
+            << "gap " << gap << " sits on another rung";
+        if (gap > 1.01) {
+            EXPECT_FALSE(row.cause.empty())
+                << "gap " << gap << " above 1 % names no cause";
+        }
+        if (row.cause.rfind("unexplained", 0) == 0) {
+            EXPECT_NE(row.cause.find("Ruled out"), std::string::npos)
+                << "an unexplained gap lists what was ruled out";
+        }
+    }
+}
+
+TEST(PaperScoreboard, RowNamesAreUnique)
+{
+    const auto rows = sim::analyticRows();
+    for (size_t i = 0; i < rows.size(); ++i) {
+        for (size_t j = 0; j < i; ++j)
+            EXPECT_NE(rows[i].name, rows[j].name);
+    }
+}
+
+TEST(PaperScoreboard, TightestRungClimbsTheLadder)
+{
+    EXPECT_EQ(sim::tightestRung(1.0), 1.001);
+    EXPECT_EQ(sim::tightestRung(1.001), 1.001);
+    EXPECT_EQ(sim::tightestRung(1.0011), 1.005);
+    EXPECT_EQ(sim::tightestRung(9.99), 10.0);
+    EXPECT_EQ(sim::tightestRung(10.01), 0.0);
+}
+
+TEST(PaperScoreboard, TrainingRowsCarryNoTolerance)
+{
+    const std::string name = "Table VI weights noisy sigma 0.050 (%)";
+    const auto row = sim::paperRow(name, 16.7);
+    EXPECT_EQ(row.name, name);
+    EXPECT_EQ(row.paper, sim::paperValue(name));
+    EXPECT_EQ(row.ours, 16.7);
+    EXPECT_EQ(row.tolerance, 0.0);
+    EXPECT_EQ(row.cause, "synthetic substitution (DESIGN §1)");
+}
+
+TEST(PaperScoreboardDeath, UnknownRowPanics)
+{
+    EXPECT_DEATH(sim::paperValue("Table IX nothing"), "Table IX");
 }
 
 } // namespace
