@@ -1,5 +1,10 @@
 #include "arch/config.hh"
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "common/cache.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -21,33 +26,61 @@ paperBaseline()
 
 namespace {
 
-void
-applyOrganization(ChipOrganization &org, const Config &cfg,
-                  const std::string &section)
+/** An integer field a config section may set, to a value in [1, max]. */
+struct IntKey
 {
-    org.numTiles = int(cfg.getInt(section + ".num_tiles",
-                                  org.numTiles));
-    org.tileSize = int(cfg.getInt(section + ".tile_size",
-                                  org.tileSize));
-    org.macroSize = int(cfg.getInt(section + ".macro_size",
-                                   org.macroSize));
-    inca_assert(org.numTiles > 0 && org.tileSize > 0 &&
-                    org.macroSize > 0,
-                "chip organization must be positive");
+    const char *name;
+    int *field;
+    int max = std::numeric_limits<int>::max();
+};
+
+/** The keys both chips read, bound to the fields of @p c. */
+template <typename Chip>
+std::vector<IntKey>
+sharedKeys(Chip &c, int &bufferKib)
+{
+    return {{"num_tiles", &c.org.numTiles},
+            {"tile_size", &c.org.tileSize},
+            {"macro_size", &c.org.macroSize},
+            {"buffer_kib", &bufferKib},
+            {"bus_bits", &c.buffer.port.widthBits},
+            {"subarray_size", &c.subarraySize},
+            {"adc_bits", &c.adcBits, circuit::kMaxAdcBits},
+            {"weight_bits", &c.weightBits},
+            {"activation_bits", &c.activationBits},
+            {"batch_size", &c.batchSize}};
 }
 
+/**
+ * Set the fields @p keys name from the "[section]" entries of @p cfg.
+ * Every entry of the section must be one of @p keys, with a value in
+ * [1, max]; anything else is a fatal() that names the key, so a typo
+ * or a zero never runs as a silently different chip.
+ */
 void
-applyMemories(memory::SramBuffer &buffer, const Config &cfg,
-              const std::string &section)
+applyKeys(const Config &cfg, const std::string &section,
+          const std::vector<IntKey> &keys)
 {
-    buffer.capacity = double(cfg.getInt(
-                          section + ".buffer_kib",
-                          std::int64_t(buffer.capacity / 1024.0))) *
-                      1024.0;
-    buffer.port.widthBits = int(cfg.getInt(section + ".bus_bits",
-                                           buffer.port.widthBits));
-    inca_assert(buffer.capacity > 0 && buffer.port.widthBits > 0,
-                "buffer geometry must be positive");
+    const std::string prefix = section + ".";
+    for (const std::string &key : cfg.keys()) {
+        if (key.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        const auto k = std::find_if(
+            keys.begin(), keys.end(), [&](const IntKey &known) {
+                return key.compare(prefix.size(), std::string::npos,
+                                   known.name) == 0;
+            });
+        if (k == keys.end()) {
+            fatal("config key '%s': unknown [%s] setting",
+                  key.c_str(), section.c_str());
+        }
+        const std::int64_t v = cfg.getInt(key, 0);
+        if (v < 1 || v > k->max) {
+            fatal("config key '%s' must be in [1, %d], got '%s'",
+                  key.c_str(), k->max, cfg.getString(key).c_str());
+        }
+        *k->field = int(v);
+    }
 }
 
 } // namespace
@@ -56,22 +89,12 @@ IncaConfig
 incaFromConfig(const Config &cfg)
 {
     IncaConfig c = paperInca();
-    applyOrganization(c.org, cfg, "inca");
-    applyMemories(c.buffer, cfg, "inca");
-    c.subarraySize = int(cfg.getInt("inca.subarray_size",
-                                    c.subarraySize));
-    c.stackedPlanes = int(cfg.getInt("inca.stacked_planes",
-                                     c.stackedPlanes));
-    c.adcBits = int(cfg.getInt("inca.adc_bits", c.adcBits));
-    c.subarraysPerAdc = int(cfg.getInt("inca.subarrays_per_adc",
-                                       c.subarraysPerAdc));
-    c.weightBits = int(cfg.getInt("inca.weight_bits", c.weightBits));
-    c.activationBits = int(cfg.getInt("inca.activation_bits",
-                                      c.activationBits));
-    c.batchSize = int(cfg.getInt("inca.batch_size", c.batchSize));
-    inca_assert(c.subarraySize > 0 && c.stackedPlanes > 0 &&
-                    c.adcBits > 0,
-                "INCA geometry must be positive");
+    int bufferKib = int(c.buffer.capacity / 1024.0);
+    std::vector<IntKey> keys = sharedKeys(c, bufferKib);
+    keys.push_back({"stacked_planes", &c.stackedPlanes});
+    keys.push_back({"subarrays_per_adc", &c.subarraysPerAdc});
+    applyKeys(cfg, "inca", keys);
+    c.buffer.capacity = double(bufferKib) * 1024.0;
     return c;
 }
 
@@ -79,18 +102,9 @@ BaselineConfig
 baselineFromConfig(const Config &cfg)
 {
     BaselineConfig c = paperBaseline();
-    applyOrganization(c.org, cfg, "baseline");
-    applyMemories(c.buffer, cfg, "baseline");
-    c.subarraySize = int(cfg.getInt("baseline.subarray_size",
-                                    c.subarraySize));
-    c.adcBits = int(cfg.getInt("baseline.adc_bits", c.adcBits));
-    c.weightBits = int(cfg.getInt("baseline.weight_bits",
-                                  c.weightBits));
-    c.activationBits = int(cfg.getInt("baseline.activation_bits",
-                                      c.activationBits));
-    c.batchSize = int(cfg.getInt("baseline.batch_size", c.batchSize));
-    inca_assert(c.subarraySize > 0 && c.adcBits > 0,
-                "baseline geometry must be positive");
+    int bufferKib = int(c.buffer.capacity / 1024.0);
+    applyKeys(cfg, "baseline", sharedKeys(c, bufferKib));
+    c.buffer.capacity = double(bufferKib) * 1024.0;
     return c;
 }
 

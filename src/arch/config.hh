@@ -144,11 +144,17 @@ BaselineConfig paperBaseline();
  * Table II INCA chip with overrides from an "[inca]" config section:
  * subarray_size, stacked_planes, adc_bits, subarrays_per_adc,
  * weight_bits, activation_bits, batch_size, num_tiles, tile_size,
- * macro_size, buffer_kib, bus_bits.
+ * macro_size, buffer_kib, bus_bits. Each must be a whole number >= 1
+ * that fits an int (adc_bits at most circuit::kMaxAdcBits); a bad
+ * value or any other key under [inca] is a fatal() naming the key.
  */
 IncaConfig incaFromConfig(const class Config &cfg);
 
-/** Table II baseline chip with "[baseline]" section overrides. */
+/**
+ * Table II baseline chip with "[baseline]" section overrides: the
+ * same keys and rules as incaFromConfig, less stacked_planes and
+ * subarrays_per_adc.
+ */
 BaselineConfig baselineFromConfig(const class Config &cfg);
 
 /** Append every field of @p org to @p key (config-key hash). */

@@ -2,7 +2,6 @@
 
 #include "arch/power.hh"
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/trace.hh"
 #include "ir/lower.hh"
 
@@ -11,19 +10,6 @@ namespace baseline {
 
 using arch::Phase;
 using arch::RunCost;
-
-namespace {
-
-/** Wall clock of one whole-run evaluation. */
-metrics::Histogram &
-runEvalHistogram()
-{
-    static metrics::Histogram *h =
-        &metrics::histogram("engine.run_eval_us");
-    return *h;
-}
-
-} // namespace
 
 BaselineEngine::BaselineEngine(arch::BaselineConfig cfg)
     : cfg_(std::move(cfg)), idlePower_(arch::baselineIdlePower(cfg_)) {}
@@ -34,7 +20,6 @@ BaselineEngine::inference(const nn::NetworkDesc &net,
 {
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("ws.inference ", net.name));
-    metrics::ScopedTimer timer(runEvalHistogram());
     return ir::analyticWalk(
         ir::lowerWs(cfg_, net, Phase::Inference, batchSize));
 }
@@ -44,7 +29,6 @@ BaselineEngine::training(const nn::NetworkDesc &net, int batchSize) const
 {
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("ws.training ", net.name));
-    metrics::ScopedTimer timer(runEvalHistogram());
     return ir::analyticWalk(
         ir::lowerWs(cfg_, net, Phase::Training, batchSize));
 }

@@ -35,8 +35,8 @@ adc4AnchorEnergy()
 AdcModel
 makeAdc(int bits)
 {
-    inca_assert(bits >= 1 && bits <= 12, "unsupported ADC resolution %d",
-                bits);
+    inca_assert(bits >= 1 && bits <= kMaxAdcBits,
+                "unsupported ADC resolution %d", bits);
     AdcModel adc;
     adc.bits = bits;
     // Linear interpolation of clock between the two published points,

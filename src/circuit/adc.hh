@@ -33,9 +33,13 @@ struct AdcModel
     }
 };
 
+/** Highest resolution makeAdc models. */
+constexpr int kMaxAdcBits = 12;
+
 /**
- * Build an ADC of @p bits using the paper's scaling anchors:
- * 4-bit at 2.1 GHz and 8-bit at 1.2 GHz, with E8 == 4 * E4.
+ * Build an ADC of @p bits in [1, kMaxAdcBits] using the paper's
+ * scaling anchors: 4-bit at 2.1 GHz and 8-bit at 1.2 GHz, with
+ * E8 == 4 * E4.
  */
 AdcModel makeAdc(int bits);
 

@@ -1,6 +1,7 @@
 #include "common/config.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -24,14 +25,6 @@ trim(const std::string &s)
         --end;
     }
     return s.substr(begin, end - begin);
-}
-
-std::string
-lower(std::string s)
-{
-    for (auto &c : s)
-        c = char(std::tolower(static_cast<unsigned char>(c)));
-    return s;
 }
 
 } // namespace
@@ -100,49 +93,31 @@ Config::getString(const std::string &key,
     return it == values_.end() ? fallback : it->second;
 }
 
-double
-Config::getDouble(const std::string &key, double fallback) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-        fatal("config key '%s': '%s' is not a number", key.c_str(),
-              it->second.c_str());
-    }
-    return v;
-}
-
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t fallback) const
 {
     auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
+    // Decimal, or hex behind 0x: never strtoll's base 0, which reads
+    // a leading 0 as octal ("010" would be 8).
+    const char *text = it->second.c_str();
+    const char *digits = text + (*text == '-' || *text == '+');
+    const int base =
+        digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X') ? 16
+                                                                   : 10;
     char *end = nullptr;
-    const long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0') {
+    errno = 0;
+    const long long v = std::strtoll(text, &end, base);
+    if (end == text || *end != '\0') {
         fatal("config key '%s': '%s' is not an integer", key.c_str(),
-              it->second.c_str());
+              text);
+    }
+    if (errno == ERANGE) {
+        fatal("config key '%s': '%s' does not fit a 64-bit integer",
+              key.c_str(), text);
     }
     return v;
-}
-
-bool
-Config::getBool(const std::string &key, bool fallback) const
-{
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    const std::string v = lower(it->second);
-    if (v == "true" || v == "1" || v == "yes" || v == "on")
-        return true;
-    if (v == "false" || v == "0" || v == "no" || v == "off")
-        return false;
-    fatal("config key '%s': '%s' is not a boolean", key.c_str(),
-          it->second.c_str());
 }
 
 void

@@ -2,9 +2,9 @@
  * @file
  * Minimal INI-style configuration parsing.
  *
- * Examples and benches accept parameter overrides (array sizes, ADC
- * resolution, batch size, device constants) from simple text files or
- * inline strings:
+ * Drivers accept chip overrides (array sizes, ADC resolution, batch
+ * size; see arch::incaFromConfig) from simple text files or inline
+ * strings:
  *
  *     # comment
  *     batch = 32
@@ -13,7 +13,7 @@
  *     adc_bits = 5
  *
  * Sections flatten into dotted keys ("inca.subarray_size"). Values
- * are stored as strings and converted on access with typed getters.
+ * are stored as strings and read as strings or integers.
  */
 
 #ifndef INCA_COMMON_CONFIG_HH
@@ -43,15 +43,12 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &fallback = "") const;
 
-    /** Floating-point value or @p fallback; fatal() on bad number. */
-    double getDouble(const std::string &key, double fallback) const;
-
-    /** Integer value or @p fallback; fatal() on bad number. */
+    /**
+     * Integer value (decimal, or hex behind 0x) or @p fallback;
+     * fatal() on a bad number or one outside int64.
+     */
     std::int64_t getInt(const std::string &key,
                         std::int64_t fallback) const;
-
-    /** Boolean (true/false/1/0/yes/no) or @p fallback. */
-    bool getBool(const std::string &key, bool fallback) const;
 
     /** Set (or overwrite) a key. */
     void set(const std::string &key, const std::string &value);

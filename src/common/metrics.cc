@@ -1,7 +1,5 @@
 #include "common/metrics.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -14,75 +12,15 @@
 namespace inca {
 namespace metrics {
 
-Histogram::Histogram(std::string name, std::vector<double> bounds)
-    : name_(std::move(name)),
-      bounds_(std::move(bounds)),
-      buckets_(bounds_.size() + 1),
-      samples_(kRetainCap)
-{
-    for (std::size_t i = 1; i < bounds_.size(); ++i)
-        inca_assert(bounds_[i - 1] < bounds_[i],
-                    "histogram '%s' bounds must increase",
-                    name_.c_str());
-}
-
 void
 Histogram::observe(double v)
 {
     std::size_t i = 0;
-    while (i < bounds_.size() && v > bounds_[i])
+    while (i < kBounds && v > bound(i))
         ++i;
     buckets_[i].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
-    // count_ doubles as the retained-slot allocator: the first
-    // kRetainCap observations keep their raw value for percentile().
-    const std::uint64_t slot =
-        count_.fetch_add(1, std::memory_order_relaxed);
-    if (slot < kRetainCap)
-        samples_[std::size_t(slot)].store(v,
-                                          std::memory_order_relaxed);
-}
-
-std::vector<double>
-Histogram::retained() const
-{
-    const std::uint64_t n =
-        std::min<std::uint64_t>(count(), kRetainCap);
-    std::vector<double> out(static_cast<std::size_t>(n));
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = samples_[i].load(std::memory_order_relaxed);
-    return out;
-}
-
-double
-Histogram::percentile(double q) const
-{
-    inca_assert(q > 0.0 && q <= 100.0,
-                "percentile %f outside (0, 100]", q);
-    // Past the retain cap, "exact" percentiles silently cover only
-    // the first kRetainCap observations; say so once per histogram
-    // instead of degrading quietly.
-    if (retainedSaturated() &&
-        !saturationWarned_.exchange(true, std::memory_order_relaxed))
-        warn("histogram '%s': %llu observations exceed the %zu "
-             "retained samples; percentiles cover the first %zu "
-             "only (exports carry \"saturated\": true)",
-             name_.c_str(),
-             static_cast<unsigned long long>(count()), kRetainCap,
-             kRetainCap);
-    std::vector<double> s = retained();
-    if (s.empty())
-        return 0.0;
-    std::sort(s.begin(), s.end());
-    // Nearest-rank: the smallest value with at least q% of the
-    // samples at or below it.
-    std::size_t rank =
-        std::size_t(std::ceil(q / 100.0 * double(s.size())));
-    if (rank < 1)
-        rank = 1;
-    if (rank > s.size())
-        rank = s.size();
-    return s[rank - 1];
+    count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t>
@@ -99,11 +37,8 @@ Histogram::reset()
 {
     for (auto &b : buckets_)
         b.store(0, std::memory_order_relaxed);
-    for (auto &s : samples_)
-        s.store(0.0, std::memory_order_relaxed);
     sum_.store(0.0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);
-    saturationWarned_.store(false, std::memory_order_relaxed);
 }
 
 namespace {
@@ -174,18 +109,6 @@ claimName(Registry &r, const std::string &name, Kind kind)
     (void)inserted;
 }
 
-/** Default microsecond buckets: 1 us .. 2^25 us (~34 s), powers of 2. */
-std::vector<double>
-defaultUsBounds()
-{
-    std::vector<double> bounds;
-    bounds.reserve(26);
-    double b = 1.0;
-    for (int i = 0; i <= 25; ++i, b *= 2.0)
-        bounds.push_back(b);
-    return bounds;
-}
-
 std::string
 num(double v)
 {
@@ -229,19 +152,13 @@ gauge(const std::string &name)
 Histogram &
 histogram(const std::string &name)
 {
-    return histogram(name, defaultUsBounds());
-}
-
-Histogram &
-histogram(const std::string &name, std::vector<double> bounds)
-{
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.mutex);
     claimName(r, name, Kind::Histogram);
     auto it = r.histogramByName.find(name);
     if (it != r.histogramByName.end())
         return *it->second;
-    auto *h = new Histogram(name, std::move(bounds));
+    auto *h = new Histogram(name);
     r.histograms.push_back(h);
     r.histogramByName.emplace(name, h);
     return *h;
@@ -270,18 +187,12 @@ toJson()
         const Histogram &h = *r.histograms[i];
         os << (i ? "," : "") << "\n    \"" << jsonEscape(h.name())
            << "\": {\"count\": " << h.count()
-           << ", \"sum\": " << num(h.sum())
-           << ", \"p50\": " << num(h.percentile(50.0))
-           << ", \"p95\": " << num(h.percentile(95.0))
-           << ", \"p99\": " << num(h.percentile(99.0))
-           << ", \"saturated\": "
-           << (h.retainedSaturated() ? "true" : "false")
-           << ", \"buckets\": [";
+           << ", \"sum\": " << num(h.sum()) << ", \"buckets\": [";
         const auto counts = h.bucketCounts();
         for (std::size_t b = 0; b < counts.size(); ++b) {
             os << (b ? ", " : "") << "{\"le\": ";
-            if (b < h.bounds().size())
-                os << num(h.bounds()[b]);
+            if (b < Histogram::kBounds)
+                os << num(Histogram::bound(b));
             else
                 os << "\"+Inf\"";
             os << ", \"count\": " << counts[b] << "}";
@@ -322,13 +233,9 @@ printText(std::FILE *out)
     for (const Histogram *h : r.histograms) {
         if (h->count() == 0)
             continue;
-        std::fprintf(out,
-                     "  %-40s %12llu obs  mean %10.1f  "
-                     "p50 %10.1f  p95 %10.1f  p99 %10.1f%s\n",
+        std::fprintf(out, "  %-40s %12llu obs  mean %10.1f\n",
                      h->name().c_str(), (unsigned long long)h->count(),
-                     h->mean(), h->percentile(50.0),
-                     h->percentile(95.0), h->percentile(99.0),
-                     h->retainedSaturated() ? "  (p~first 4096)" : "");
+                     h->mean());
     }
 }
 

@@ -1,18 +1,21 @@
 /**
  * @file
  * Process-wide metrics registry: monotonic counters, gauges, and
- * fixed-bucket histograms.
+ * power-of-two histograms.
  *
  * Every subsystem that wants an always-on number registers it here by
- * name ("dse.scored", "pool.task_wait_us",
- * "engine.layer_eval_us") and keeps the returned reference; updates
- * are single relaxed atomics, cheap enough to leave enabled in every
- * build. Two renderers consume the registry: sim::printPhaseTimes
- * appends a human-readable section to its report, and toJson()
- * serializes everything for machines. With INCA_METRICS=<path> set,
- * an atexit handler writes toJson() to the path -- no driver changes
- * needed, and nothing is printed to stdout/stderr, so driver stdout
- * stays byte-identical whether or not metrics are exported.
+ * name ("dse.scored", "pool.task_wait_us", "dse.eval_us") and keeps
+ * the returned reference; updates are relaxed atomics, cheap enough
+ * to leave enabled in every build. The registry times nothing itself:
+ * the wall clock of a scope is a trace::Span's job, and a histogram
+ * only buckets durations its caller has already measured (a pool
+ * job's queue wait, a memo miss's scoring time). Two renderers
+ * consume the registry: sim::printPhaseTimes appends a human-readable
+ * section to its report, and toJson() serializes everything for
+ * machines. With INCA_METRICS=<path> set, an atexit handler writes
+ * toJson() to the path -- no driver changes needed, and nothing is
+ * printed to stdout/stderr, so driver stdout stays byte-identical
+ * whether or not metrics are exported.
  *
  * Registered metrics live forever (the registry is leaked on
  * purpose); a name permanently denotes one metric of one kind, and
@@ -23,8 +26,8 @@
 #ifndef INCA_COMMON_METRICS_HH
 #define INCA_COMMON_METRICS_HH
 
+#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -92,28 +95,31 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram: bucket i counts observations <= bounds[i],
- * with one extra overflow bucket; sum and count track the exact
- * totals. Bounds are fixed at registration, so observe() is a scan
- * plus one relaxed increment -- safe from any pool thread.
- *
- * Alongside the buckets, the first kRetainCap raw observations are
- * retained verbatim, so percentile() answers with an exact
- * nearest-rank value instead of a bucket bound. Slot writes are
- * relaxed atomics: always race-free, and exact whenever the reader is
- * ordered after the writers (the end-of-run renderers run after the
- * pool joins, which is the only place percentiles are read).
+ * Power-of-two microsecond histogram: bucket i counts observations
+ * <= bound(i) = 2^i us, with one extra overflow bucket past 2^25 us
+ * (~34 s); sum and count track the exact totals. No sample is kept,
+ * so memory is fixed and observe() is a short scan plus relaxed
+ * increments -- safe from any pool thread. Read as a quantile sketch,
+ * the buckets place any percentile within a factor of 2; exact
+ * percentiles belong to the owner of the samples (the serving
+ * report).
  */
 class Histogram
 {
   public:
-    /** Raw observations kept for exact percentiles (32 KiB/metric). */
-    static constexpr std::size_t kRetainCap = 4096;
+    /** Finite bucket bounds: 1, 2, 4, ..., 2^25 us. */
+    static constexpr std::size_t kBounds = 26;
 
-    Histogram(std::string name, std::vector<double> bounds);
+    explicit Histogram(std::string name) : name_(std::move(name)) {}
 
     Histogram(const Histogram &) = delete;
     Histogram &operator=(const Histogram &) = delete;
+
+    /** Upper bound of bucket @p i < kBounds, in microseconds. */
+    static constexpr double bound(std::size_t i)
+    {
+        return double(std::uint64_t(1) << i);
+    }
 
     void observe(double v);
 
@@ -134,29 +140,8 @@ class Histogram
         return n == 0 ? 0.0 : sum() / double(n);
     }
 
-    const std::vector<double> &bounds() const { return bounds_; }
-
-    /** Per-bucket counts; size bounds().size() + 1 (overflow last). */
+    /** Per-bucket counts; size kBounds + 1 (overflow last). */
     std::vector<std::uint64_t> bucketCounts() const;
-
-    /**
-     * Exact nearest-rank percentile of the retained samples for
-     * @p q in (0, 100]; 0 when empty. Sorted on demand -- a
-     * render-time call, not a hot-path one. Past kRetainCap
-     * observations the summary covers the first kRetainCap (see
-     * retainedSaturated()); the first such query warn()s once and
-     * the JSON export flags the histogram "saturated".
-     */
-    double percentile(double q) const;
-
-    /** Retained raw observations, in observation order. */
-    std::vector<double> retained() const;
-
-    /** True when observations beyond kRetainCap were dropped. */
-    bool retainedSaturated() const
-    {
-        return count() > kRetainCap;
-    }
 
     void reset();
 
@@ -164,41 +149,9 @@ class Histogram
 
   private:
     std::string name_;
-    std::vector<double> bounds_;
-    std::vector<std::atomic<std::uint64_t>> buckets_;
-    std::vector<std::atomic<double>> samples_;
+    std::array<std::atomic<std::uint64_t>, kBounds + 1> buckets_;
     std::atomic<double> sum_{0.0};
     std::atomic<std::uint64_t> count_{0};
-    /** One-time saturation warn() latch (mutable: query-time state). */
-    mutable std::atomic<bool> saturationWarned_{false};
-};
-
-/**
- * RAII latency probe: observes its own lifetime, in microseconds,
- * into a histogram at scope exit. The idiom for the *_us metrics:
- *   metrics::ScopedTimer t(layerEvalHistogram());
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Histogram &h)
-        : h_(h), start_(std::chrono::steady_clock::now())
-    {
-    }
-
-    ~ScopedTimer()
-    {
-        h_.observe(std::chrono::duration<double, std::micro>(
-                       std::chrono::steady_clock::now() - start_)
-                       .count());
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Histogram &h_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 /**
@@ -208,16 +161,7 @@ class ScopedTimer
  */
 Counter &counter(const std::string &name);
 Gauge &gauge(const std::string &name);
-
-/**
- * Histogram with the default microsecond buckets (1 us to ~34 s,
- * powers of two) -- the right shape for the *_us latency metrics.
- */
 Histogram &histogram(const std::string &name);
-
-/** Histogram with explicit bucket bounds (first request wins). */
-Histogram &histogram(const std::string &name,
-                     std::vector<double> bounds);
 
 /**
  * Serialize every registered metric:

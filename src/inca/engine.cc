@@ -2,7 +2,6 @@
 
 #include "arch/power.hh"
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/trace.hh"
 #include "ir/lower.hh"
 
@@ -11,19 +10,6 @@ namespace core {
 
 using arch::Phase;
 using arch::RunCost;
-
-namespace {
-
-/** Wall clock of one whole-run evaluation. */
-metrics::Histogram &
-runEvalHistogram()
-{
-    static metrics::Histogram *h =
-        &metrics::histogram("engine.run_eval_us");
-    return *h;
-}
-
-} // namespace
 
 IncaEngine::IncaEngine(arch::IncaConfig cfg)
     : cfg_(std::move(cfg)), idlePower_(arch::incaIdlePower(cfg_)) {}
@@ -39,7 +25,6 @@ IncaEngine::inference(const nn::NetworkDesc &net, int batchSize) const
 {
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("inca.inference ", net.name));
-    metrics::ScopedTimer timer(runEvalHistogram());
     return ir::analyticWalk(
         ir::lowerInca(cfg_, net, Phase::Inference, batchSize));
 }
@@ -49,7 +34,6 @@ IncaEngine::training(const nn::NetworkDesc &net, int batchSize) const
 {
     inca_assert(batchSize > 0, "batch size must be positive");
     trace::Span span(trace::spanName("inca.training ", net.name));
-    metrics::ScopedTimer timer(runEvalHistogram());
     return ir::analyticWalk(
         ir::lowerInca(cfg_, net, Phase::Training, batchSize));
 }

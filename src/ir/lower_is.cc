@@ -17,7 +17,6 @@
 #include "arch/power.hh"
 #include "common/cache.hh"
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/trace.hh"
 #include "dataflow/access_model.hh"
 #include "inca/mapping.hh"
@@ -62,15 +61,6 @@ incaWeightsStreamed(const arch::IncaConfig &cfg,
 
 namespace {
 
-/** Wall clock of one layer-group evaluation. */
-metrics::Histogram &
-layerEvalHistogram()
-{
-    static metrics::Histogram *h =
-        &metrics::histogram("engine.layer_eval_us");
-    return *h;
-}
-
 /** Buffer words to move @p values of @p bits over the tile bus. */
 double
 words(double values, int bits, const memory::Bus &bus)
@@ -105,7 +95,6 @@ forwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
              int batchSize, bool firstConv, bool streamed)
 {
     trace::Span span(trace::spanName("inca.fwd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g(kConvCount);
     Instr &load = g[kLoad];
     Instr &mvm = g[kMvm];
@@ -246,7 +235,6 @@ backwardGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
               int batchSize, bool streamed)
 {
     trace::Span span(trace::spanName("inca.bwd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
     // Error backpropagation: delta_{l+1} convolved with the transposed
     // kernels. The array work mirrors the forward pass with input and
     // output roles swapped; the transposed weights are a second fetch
@@ -276,7 +264,6 @@ updateGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
             int batchSize, bool streamed)
 {
     trace::Span span(trace::spanName("inca.upd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
     // Weight update: x_l convolved with delta_l. The number of
     // products equals the layer MACs per image; gradient partial sums
     // stream out through the shift-accumulators into the buffers and
@@ -361,7 +348,6 @@ auxGroup(const arch::IncaConfig &cfg, const LayerDesc &layer,
          int batchSize, bool backward)
 {
     trace::Span span(trace::spanName("inca.aux ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g(kAuxCount);
     Instr &act = g[0];
     Instr &sync = g[1];

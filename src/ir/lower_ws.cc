@@ -28,7 +28,6 @@
 #include "baseline/mapping.hh"
 #include "common/cache.hh"
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/trace.hh"
 #include "dataflow/access_model.hh"
 #include "ir/lower_internal.hh"
@@ -71,15 +70,6 @@ wsBufferShare(const arch::BaselineConfig &cfg,
 
 namespace {
 
-/** Wall clock of one layer-group evaluation. */
-metrics::Histogram &
-layerEvalHistogram()
-{
-    static metrics::Histogram *h =
-        &metrics::histogram("engine.layer_eval_us");
-    return *h;
-}
-
 // Instruction roles inside a WS conv-like stage group. Training
 // appends one extra Move before the sync (RRAM stores), shifting the
 // sync to index 5.
@@ -108,7 +98,6 @@ forwardGroup(const arch::BaselineConfig &cfg, const nn::NetworkDesc &net,
              const LayerDesc &layer, int batchSize)
 {
     trace::Span span(trace::spanName("ws.fwd ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g(kStageCount);
     Instr &load = g[kLoad];
     Instr &mvm = g[kMvm];
@@ -217,7 +206,6 @@ auxGroup(const arch::BaselineConfig &cfg, const LayerDesc &layer,
          int batchSize)
 {
     trace::Span span(trace::spanName("ws.aux ", layer.name));
-    metrics::ScopedTimer timer(layerEvalHistogram());
     LayerGroup g(kAuxCount);
     Instr &act = g[0];
     Instr &sync = g[1];

@@ -418,8 +418,7 @@ publishMetrics(const ServingReport &rep)
     metrics::gauge("serving.utilization").set(rep.utilization);
     metrics::gauge("serving.energy_per_request_j")
         .set(rep.energyPerRequestJ);
-    const bool chaos = chaosEnabled(rep.spec);
-    if (chaos) {
+    if (chaosEnabled(rep.spec)) {
         metrics::counter("serving.shed").inc(rep.shed);
         metrics::counter("serving.timeouts").inc(rep.timedOut);
         metrics::counter("serving.failed").inc(rep.failed);
@@ -428,14 +427,6 @@ publishMetrics(const ServingReport &rep)
         metrics::counter("serving.failovers").inc(rep.failovers);
         metrics::gauge("serving.availability")
             .set(rep.availability);
-    }
-    auto &latency = metrics::histogram("serving.latency_us");
-    for (const RequestRecord &r : rep.requests) {
-        // Only genuinely served requests carry a latency; shed or
-        // failed ones have no completion time.
-        if (chaos && r.outcome != RequestOutcome::Ok)
-            continue;
-        latency.observe(r.latencyS() * 1e6);
     }
 }
 

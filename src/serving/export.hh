@@ -40,10 +40,10 @@ std::string requestsCsv(const ServingReport &rep);
 std::string timelineCsv(const ServingReport &rep);
 
 /**
- * Publish the report to the metrics registry (serving.* gauges) and
- * feed every request latency into the serving.latency_us histogram,
- * so sim::printPhaseTimes renders the same exact percentiles the
- * report prints.
+ * Publish the report's headline numbers to the metrics registry
+ * (serving.* gauges, plus the chaos counters when chaos is on). The
+ * latency percentiles stay in the report, which holds every sample;
+ * serving.p99_ms mirrors its exact p99.
  */
 void publishMetrics(const ServingReport &rep);
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Scalar reference kernels -- the retained ground truth.
+ * Scalar reference kernels -- the kept ground truth.
  *
  * This translation unit is compiled with vectorization disabled (see
  * tensor/CMakeLists.txt): the reference must execute genuinely scalar

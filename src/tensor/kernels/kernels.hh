@@ -5,7 +5,7 @@
  * Every numeric hot loop the tensor layer (and the Monte-Carlo fault
  * sampler) runs is routed through a KernelSet: a table of function
  * pointers with one implementation per instruction set. Three sets
- * exist -- scalar (the retained reference), AVX2 (8-wide floats /
+ * exist -- scalar (the kept reference), AVX2 (8-wide floats /
  * 4-wide doubles) and AVX-512 (16-wide / 8-wide) -- and the process
  * picks the widest one the CPU supports at first use.
  *

@@ -8,7 +8,7 @@
  *    crossbar accelerators (the paper's baseline) execute;
  *  - conv2dNaive() (and the *GradNaive() variants): the direct
  *    scalar-loop convolution, the dataflow INCA's 2T1R planes execute
- *    in hardware, retained as the differential-testing reference.
+ *    in hardware, kept as the differential-testing reference.
  * The tests require both paths to agree bit-for-bit, which is the
  * software analogue of the paper's claim that direct convolution
  * preserves the mathematical result without unrolling.

@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "arch/config.hh"
 #include "common/config.hh"
@@ -50,20 +52,25 @@ TEST(Config, Fallbacks)
 {
     const Config cfg;
     EXPECT_EQ(cfg.getInt("missing", 42), 42);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("missing", 2.5), 2.5);
     EXPECT_EQ(cfg.getString("missing", "abc"), "abc");
-    EXPECT_TRUE(cfg.getBool("missing", true));
 }
 
 TEST(Config, TypedParsing)
 {
     const auto cfg = Config::fromString(
-        "f = 3.25\nneg = -17\nhex = 0x10\nyes = yes\nno = OFF\n");
-    EXPECT_DOUBLE_EQ(cfg.getDouble("f", 0.0), 3.25);
+        "neg = -17\nhex = 0x10\nplus = +5\n");
     EXPECT_EQ(cfg.getInt("neg", 0), -17);
     EXPECT_EQ(cfg.getInt("hex", 0), 16);
-    EXPECT_TRUE(cfg.getBool("yes", false));
-    EXPECT_FALSE(cfg.getBool("no", true));
+    EXPECT_EQ(cfg.getInt("plus", 0), 5);
+}
+
+TEST(Config, LeadingZeroIsDecimalNotOctal)
+{
+    const auto cfg =
+        Config::fromString("nine = 09\n[inca]\nadc_bits = 010\n");
+    EXPECT_EQ(cfg.getInt("inca.adc_bits", 0), 10);
+    EXPECT_EQ(cfg.getInt("nine", 0), 9);
+    EXPECT_EQ(arch::incaFromConfig(cfg).adcBits, 10);
 }
 
 TEST(Config, SetOverwrites)
@@ -106,10 +113,12 @@ TEST(ConfigDeath, MalformedLineFatal)
 
 TEST(ConfigDeath, BadNumberFatal)
 {
-    const auto cfg = Config::fromString("x = not-a-number\n");
+    const auto cfg = Config::fromString(
+        "x = not-a-number\nhuge = 99999999999999999999\nbare = 0x\n");
     EXPECT_DEATH(cfg.getInt("x", 0), "not an integer");
-    EXPECT_DEATH(cfg.getDouble("x", 0.0), "not a number");
-    EXPECT_DEATH(cfg.getBool("x", false), "not a boolean");
+    EXPECT_DEATH(cfg.getInt("bare", 0), "not an integer");
+    EXPECT_EXIT(cfg.getInt("huge", 0), ::testing::ExitedWithCode(1),
+                "'huge'.*does not fit a 64-bit integer");
 }
 
 TEST(ArchConfig, IncaOverrides)
@@ -136,6 +145,71 @@ TEST(ArchConfig, BaselineOverrides)
     EXPECT_EQ(base.subarraySize, 256);
     EXPECT_EQ(base.adcBits, 6);
     EXPECT_EQ(base.org.numTiles, 168);
+}
+
+/** fatal() when @p ini's chip section is read, naming @p key. */
+void
+expectChipConfigFatal(const std::string &ini, const std::string &key)
+{
+    const auto cfg = Config::fromString(ini);
+    const std::string pattern = "config key '" + key + "'";
+    if (key.rfind("inca.", 0) == 0) {
+        EXPECT_EXIT(arch::incaFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), pattern)
+            << ini;
+    } else {
+        EXPECT_EXIT(arch::baselineFromConfig(cfg),
+                    ::testing::ExitedWithCode(1), pattern)
+            << ini;
+    }
+}
+
+TEST(ArchConfigDeath, EveryFieldBelowOneOrPastAnIntIsFatal)
+{
+    // Unchecked, a zero runs as a chip with 0 s latency (weight_bits)
+    // or divides by zero (subarrays_per_adc), and a value past INT_MAX
+    // wraps in the int field (4294967300 reads as 4).
+    std::vector<std::string> keys = {
+        "num_tiles",  "tile_size",     "macro_size", "buffer_kib",
+        "bus_bits",   "subarray_size", "adc_bits",   "weight_bits",
+        "batch_size", "activation_bits"};
+    for (const std::string section : {"baseline", "inca"}) {
+        if (section == "inca") { // the baseline has no 3D stack
+            keys.push_back("stacked_planes");
+            keys.push_back("subarrays_per_adc");
+        }
+        for (const std::string &key : keys) {
+            for (const char *value : {"0", "-3", "4294967300"}) {
+                expectChipConfigFatal("[" + section + "]\n" + key +
+                                          " = " + value + "\n",
+                                      section + "." + key);
+            }
+        }
+    }
+}
+
+TEST(ArchConfigDeath, AdcBitsPastTheAdcModelAreFatal)
+{
+    expectChipConfigFatal("[inca]\nadc_bits = 13\n", "inca.adc_bits");
+    expectChipConfigFatal("[baseline]\nadc_bits = 16\n",
+                          "baseline.adc_bits");
+    const auto cfg = Config::fromString("[inca]\nadc_bits = 12\n");
+    EXPECT_EQ(arch::incaFromConfig(cfg).adcBits, 12);
+}
+
+TEST(ArchConfigDeath, UnknownKeysAreFatal)
+{
+    // Ignored, a misspelt key runs silently as the default chip.
+    expectChipConfigFatal("[inca]\nadc_bts = 5\n", "inca.adc_bts");
+    // The baseline has no 3D stack.
+    expectChipConfigFatal("[baseline]\nstacked_planes = 8\n",
+                          "baseline.stacked_planes");
+    // Keys outside the two chip sections are not theirs to judge.
+    const auto cfg = Config::fromString("batch = 8\n[other]\nx = y\n");
+    EXPECT_EQ(arch::incaFromConfig(cfg).adcBits,
+              arch::paperInca().adcBits);
+    EXPECT_EQ(arch::baselineFromConfig(cfg).adcBits,
+              arch::paperBaseline().adcBits);
 }
 
 TEST(ArchConfig, EmptyConfigIsTableII)

@@ -49,37 +49,46 @@ TEST(Metrics, GaugeSetAndAdd)
 
 TEST(Metrics, HistogramBucketsObservations)
 {
-    Histogram &h =
-        histogram("test.hist.explicit", {1.0, 10.0, 100.0});
+    Histogram &h = histogram("test.hist.buckets");
     h.reset();
-    h.observe(0.5);   // <= 1
-    h.observe(5.0);   // <= 10
-    h.observe(50.0);  // <= 100
-    h.observe(500.0); // overflow
+    h.observe(0.5);  // <= 1
+    h.observe(5.0);  // <= 8
+    h.observe(50.0); // <= 64
+    h.observe(1e8);  // past 2^25: overflow
     EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.sum(), 555.5);
-    EXPECT_DOUBLE_EQ(h.mean(), 555.5 / 4.0);
+    EXPECT_DOUBLE_EQ(h.sum(), 100000055.5);
+    EXPECT_DOUBLE_EQ(h.mean(), 100000055.5 / 4.0);
     const auto buckets = h.bucketCounts();
-    ASSERT_EQ(buckets.size(), 4u);
-    EXPECT_EQ(buckets[0], 1u);
-    EXPECT_EQ(buckets[1], 1u);
-    EXPECT_EQ(buckets[2], 1u);
-    EXPECT_EQ(buckets[3], 1u);
+    ASSERT_EQ(buckets.size(), Histogram::kBounds + 1);
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        const bool hit = i == 0 || i == 3 || i == 6 ||
+                         i == Histogram::kBounds;
+        EXPECT_EQ(buckets[i], hit ? 1u : 0u) << "bucket " << i;
+    }
 }
 
 TEST(Metrics, BoundaryObservationLandsInLowerBucket)
 {
-    Histogram &h = histogram("test.hist.boundary", {1.0, 2.0});
+    Histogram &h = histogram("test.hist.boundary");
     h.reset();
-    h.observe(1.0); // inclusive upper bound
-    EXPECT_EQ(h.bucketCounts()[0], 1u);
+    h.observe(1.0); // inclusive upper bounds
+    h.observe(2.0);
+    h.observe(Histogram::bound(Histogram::kBounds - 1));
+    const auto buckets = h.bucketCounts();
+    EXPECT_EQ(buckets[0], 1u);
+    EXPECT_EQ(buckets[1], 1u);
+    EXPECT_EQ(buckets[Histogram::kBounds - 1], 1u);
+    EXPECT_EQ(buckets[Histogram::kBounds], 0u);
 }
 
 TEST(Metrics, DefaultMicrosecondBuckets)
 {
-    Histogram &h = histogram("test.hist.default_us");
-    EXPECT_GE(h.bounds().size(), 16u);
-    EXPECT_DOUBLE_EQ(h.bounds().front(), 1.0);
+    EXPECT_DOUBLE_EQ(Histogram::bound(0), 1.0);
+    for (std::size_t i = 1; i < Histogram::kBounds; ++i)
+        EXPECT_DOUBLE_EQ(Histogram::bound(i),
+                         2.0 * Histogram::bound(i - 1));
+    EXPECT_DOUBLE_EQ(Histogram::bound(Histogram::kBounds - 1),
+                     33554432.0); // 2^25 us, ~34 s
 }
 
 TEST(MetricsDeath, KindMismatchPanics)
@@ -88,21 +97,10 @@ TEST(MetricsDeath, KindMismatchPanics)
     EXPECT_DEATH(gauge("test.kind.clash"), "");
 }
 
-TEST(Metrics, ScopedTimerObservesLifetime)
-{
-    Histogram &h = histogram("test.hist.timer");
-    h.reset();
-    {
-        ScopedTimer t(h);
-    }
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_GE(h.sum(), 0.0);
-}
-
 TEST(Metrics, ConcurrentUpdatesLoseNothing)
 {
     Counter &c = counter("test.counter.mt");
-    Histogram &h = histogram("test.hist.mt", {10.0, 1000.0});
+    Histogram &h = histogram("test.hist.mt");
     c.reset();
     h.reset();
     constexpr int kThreads = 8, kEach = 1000;
@@ -125,7 +123,9 @@ TEST(Metrics, ToJsonIsValidAndComplete)
 {
     counter("test.json.counter").inc(7);
     gauge("test.json.gauge").set(1.25);
-    histogram("test.json.hist", {1.0}).observe(0.5);
+    Histogram &h = histogram("test.json.hist");
+    h.reset();
+    h.observe(0.5);
     const std::string json = toJson();
     EXPECT_TRUE(testutil::jsonValid(json)) << json;
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -135,12 +135,21 @@ TEST(Metrics, ToJsonIsValidAndComplete)
     EXPECT_NE(json.find("\"test.json.gauge\""), std::string::npos);
     EXPECT_NE(json.find("\"test.json.hist\""), std::string::npos);
     EXPECT_NE(json.find("\"+Inf\""), std::string::npos);
+    // A histogram exports its totals and buckets, and nothing that
+    // would need the samples it does not keep.
+    EXPECT_NE(json.find("\"test.json.hist\": {\"count\": 1, \"sum\": "
+                        "0.5, \"buckets\": [{\"le\": 1, \"count\": 1}, "
+                        "{\"le\": 2, \"count\": 0}"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(json.find("\"p99\""), std::string::npos);
+    EXPECT_EQ(json.find("\"saturated\""), std::string::npos);
 }
 
 TEST(Metrics, ResetAllZeroesEverything)
 {
     Counter &c = counter("test.reset.counter");
-    Histogram &h = histogram("test.reset.hist", {1.0});
+    Histogram &h = histogram("test.reset.hist");
     c.inc(5);
     h.observe(2.0);
     resetAll();

@@ -5,7 +5,7 @@
  * invariants (Little's law, FIFO within priority),
  * bit-identity of the full report across thread counts and cache
  * settings and against pinned digests, p99 scaling with replicas,
- * exact percentiles (simulator and metrics histogram), strict CLI
+ * exact percentiles and the metrics the report publishes, strict CLI
  * parsers, and the DSE bridge (journal round-trip, max_p99_ms
  * end-to-end).
  */
@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <queue>
 #include <string>
 #include <tuple>
@@ -242,35 +243,6 @@ TEST(Percentile, ExactNearestRank)
     EXPECT_DOUBLE_EQ(exactPercentile(s, 0.5), 1.0);
     EXPECT_DOUBLE_EQ(exactPercentile({42.0}, 99.0), 42.0);
     EXPECT_DOUBLE_EQ(exactPercentile({}, 99.0), 0.0);
-}
-
-TEST(Percentile, HistogramMatchesReference)
-{
-    auto &h = metrics::histogram("test.serving.percentile");
-    h.reset();
-    std::vector<double> s;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = double((i * 37) % 1000);
-        s.push_back(v);
-        h.observe(v);
-    }
-    for (const double q : {50.0, 95.0, 99.0, 100.0})
-        EXPECT_DOUBLE_EQ(h.percentile(q), exactPercentile(s, q));
-    EXPECT_FALSE(h.retainedSaturated());
-}
-
-TEST(Percentile, HistogramSaturationIsFlagged)
-{
-    auto &h = metrics::histogram("test.serving.saturation");
-    h.reset();
-    const std::size_t n = metrics::Histogram::kRetainCap + 10;
-    for (std::size_t i = 0; i < n; ++i)
-        h.observe(double(i));
-    EXPECT_TRUE(h.retainedSaturated());
-    EXPECT_EQ(h.retained().size(), metrics::Histogram::kRetainCap);
-    h.reset();
-    EXPECT_FALSE(h.retainedSaturated());
-    EXPECT_TRUE(h.retained().empty());
 }
 
 // ---------------------------------------------------------------
@@ -574,6 +546,59 @@ TEST(Simulator, ExportsAreWellFormed)
     testutil::expectRectangular(timelineCsv(rep),
                                 rep.queueTimeline.size(),
                                 "timelineCsv");
+}
+
+TEST(Simulator, PublishMetricsMirrorsTheReport)
+{
+    // bench_e2e's chaos spec completes more requests than any
+    // 4,096-sample store could hold. The registry must hold the
+    // report's own numbers, exactly, and no second copy of its
+    // latencies: the report's percentiles are the exact ones.
+    const ServingReport rep = simulate(benchServeSpec());
+    ASSERT_GT(rep.completed, 4096u);
+    ASSERT_TRUE(chaosEnabled(rep.spec)); // so the counters publish
+    metrics::resetAll();
+    publishMetrics(rep);
+    const std::map<std::string, double> gauges = {
+        {"serving.offered", double(rep.offered)},
+        {"serving.completed", double(rep.completed)},
+        {"serving.within_slo", double(rep.withinSlo)},
+        {"serving.makespan_s", rep.makespanS},
+        {"serving.throughput_rps", rep.throughputRps},
+        {"serving.goodput_rps", rep.goodputRps},
+        {"serving.p99_ms", rep.p99S * 1e3},
+        {"serving.mean_queue_depth", rep.meanQueueDepth},
+        {"serving.max_queue_depth", double(rep.maxQueueDepth)},
+        {"serving.utilization", rep.utilization},
+        {"serving.energy_per_request_j", rep.energyPerRequestJ},
+        {"serving.availability", rep.availability},
+    };
+    const std::map<std::string, std::uint64_t> counters = {
+        {"serving.shed", rep.shed},
+        {"serving.timeouts", rep.timedOut},
+        {"serving.failed", rep.failed},
+        {"serving.retries", rep.retries},
+        {"serving.hedges", rep.hedges},
+        {"serving.failovers", rep.failovers},
+    };
+    // Every serving.* metric the registry exports is one of the above,
+    // so none is a latency histogram (read before the lookups below,
+    // which would register a name).
+    const std::string json = metrics::toJson();
+    std::size_t named = 0;
+    for (std::size_t at = json.find("\"serving."); at != std::string::npos;
+         at = json.find("\"serving.", at + 1)) {
+        const std::string name =
+            json.substr(at + 1, json.find('"', at + 1) - at - 1);
+        EXPECT_TRUE(gauges.count(name) + counters.count(name) == 1)
+            << name;
+        ++named;
+    }
+    EXPECT_EQ(named, gauges.size() + counters.size());
+    for (const auto &[name, value] : gauges)
+        EXPECT_EQ(metrics::gauge(name).value(), value) << name;
+    for (const auto &[name, value] : counters)
+        EXPECT_EQ(metrics::counter(name).value(), value) << name;
 }
 
 // ---------------------------------------------------------------
