@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -17,20 +18,29 @@ namespace serving {
 
 namespace {
 
-// Upper bounds on one CSV field's bytes, for sizing a table up front.
-constexpr std::size_t kNumBytes = 24; // appendNum17's longest output
-constexpr std::size_t kU64Bytes = 20; // any std::uint64_t
-constexpr std::size_t kIntBytes = 11; // any int, e.g. "-2147483648"
+// Upper bounds on one CSV field's bytes, for sizing a row buffer.
+constexpr std::size_t kU64Bytes = 20;    // any std::uint64_t
+constexpr std::size_t kIntBytes = 11;    // any int, e.g. "-2147483648"
+constexpr std::size_t kOutcomeBytes = 7; // "timeout", the longest name
 
-/** Append an integer as the stream inserter prints it. */
-template <typename Int>
-void
-appendInt(std::string &out, Int v)
+/** Write an integer at @p p as the stream inserter prints it. */
+char *
+writeInt(char *p, int v)
 {
-    char buf[kU64Bytes + 1];
-    const std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, r.ptr);
+    return std::to_chars(p, p + kIntBytes, v).ptr;
+}
+
+char *
+writeInt(char *p, std::uint64_t v)
+{
+    return std::to_chars(p, p + kU64Bytes, v).ptr;
+}
+
+char *
+writeBytes(char *p, const char *s, std::size_t n)
+{
+    std::memcpy(p, s, n);
+    return p + n;
 }
 
 std::string
@@ -330,14 +340,16 @@ requestsCsv(const ServingReport &rep)
         networks.push_back(csvField(s.network));
         longest = std::max(longest, networks.back().size());
     }
-    // Reserve the longest possible row for every request, so the
-    // appends below never reallocate: the id, the network, 3 ints, 5
+    // The longest possible row: the id, the network, 3 ints, 5
     // numbers, 9 commas and the newline; in chaos mode also 4 commas,
-    // the outcome name (at most kIntBytes), retries, hedged and a
-    // number. Only the bytes written are ever touched.
+    // the outcome name, retries, hedged and a number. Each row is
+    // written into one buffer of that size and appended once; the
+    // table reserves it for every request, so no append reallocates,
+    // and only the bytes written are ever touched.
     const std::size_t rowBytes =
-        kU64Bytes + longest + 3 * kIntBytes + 5 * kNumBytes + 10 +
-        (chaos ? 2 * kIntBytes + 1 + kNumBytes + 4 : 0);
+        kU64Bytes + longest + 3 * kIntBytes + 5 * kNum17Bytes + 10 +
+        (chaos ? 4 + kOutcomeBytes + kIntBytes + 1 + kNum17Bytes : 0);
+    std::string row(rowBytes, '\0');
     std::string out;
     out.reserve(128 + rep.requests.size() * rowBytes);
     out += "id,stream,network,arrival_s,dispatch_s,completion_s,"
@@ -346,40 +358,44 @@ requestsCsv(const ServingReport &rep)
         out += ",outcome,retries,hedged,queued_s";
     out += '\n';
     for (const RequestRecord &r : rep.requests) {
-        appendInt(out, r.id);
-        out += ',';
-        appendInt(out, r.stream);
-        out += ',';
-        out += networks[std::size_t(r.stream)];
-        out += ',';
-        appendNum17(out, r.arrivalS);
-        out += ',';
+        char *p = row.data();
+        p = writeInt(p, r.id);
+        *p++ = ',';
+        p = writeInt(p, r.stream);
+        *p++ = ',';
+        const std::string &network = networks[std::size_t(r.stream)];
+        p = writeBytes(p, network.data(), network.size());
+        *p++ = ',';
+        p = writeNum17(p, r.arrivalS);
+        *p++ = ',';
         // A request never dispatched (shed, reaped from its queue) or
         // never completed leaves those times empty, not 0 - arrival.
         if (r.hasDispatch())
-            appendNum17(out, r.dispatchS);
-        out += ',';
+            p = writeNum17(p, r.dispatchS);
+        *p++ = ',';
         if (r.hasCompletion())
-            appendNum17(out, r.completionS);
-        out += ',';
+            p = writeNum17(p, r.completionS);
+        *p++ = ',';
         if (r.hasCompletion())
-            appendNum17(out, r.latencyS());
-        out += ',';
+            p = writeNum17(p, r.latencyS());
+        *p++ = ',';
         if (r.hasDispatch())
-            appendNum17(out, r.waitS());
-        out += ',';
-        appendInt(out, r.server);
-        out += ',';
-        appendInt(out, r.batchSize);
+            p = writeNum17(p, r.waitS());
+        *p++ = ',';
+        p = writeInt(p, r.server);
+        *p++ = ',';
+        p = writeInt(p, r.batchSize);
         if (chaos) {
-            out += ',';
-            out += requestOutcomeName(r.outcome);
-            out += ',';
-            appendInt(out, r.retries);
-            out += r.hedged ? ",1," : ",0,";
-            appendNum17(out, r.queuedS);
+            *p++ = ',';
+            const char *outcome = requestOutcomeName(r.outcome);
+            p = writeBytes(p, outcome, std::strlen(outcome));
+            *p++ = ',';
+            p = writeInt(p, r.retries);
+            p = writeBytes(p, r.hedged ? ",1," : ",0,", 3);
+            p = writeNum17(p, r.queuedS);
         }
-        out += '\n';
+        *p++ = '\n';
+        out.append(row.data(), p);
     }
     return out;
 }
@@ -387,15 +403,16 @@ requestsCsv(const ServingReport &rep)
 std::string
 timelineCsv(const ServingReport &rep)
 {
+    char row[kNum17Bytes + kU64Bytes + 2];
     std::string out;
-    out.reserve(32 + rep.queueTimeline.size() *
-                         (kNumBytes + kU64Bytes + 2));
+    out.reserve(32 + rep.queueTimeline.size() * sizeof(row));
     out += "time_s,queue_depth\n";
     for (const auto &point : rep.queueTimeline) {
-        appendNum17(out, point.first);
-        out += ',';
-        appendInt(out, point.second);
-        out += '\n';
+        char *p = writeNum17(row, point.first);
+        *p++ = ',';
+        p = writeInt(p, point.second);
+        *p++ = '\n';
+        out.append(row, p);
     }
     return out;
 }
@@ -419,12 +436,12 @@ publishMetrics(const ServingReport &rep)
     metrics::gauge("serving.energy_per_request_j")
         .set(rep.energyPerRequestJ);
     if (chaosEnabled(rep.spec)) {
-        metrics::counter("serving.shed").inc(rep.shed);
-        metrics::counter("serving.timeouts").inc(rep.timedOut);
-        metrics::counter("serving.failed").inc(rep.failed);
-        metrics::counter("serving.retries").inc(rep.retries);
-        metrics::counter("serving.hedges").inc(rep.hedges);
-        metrics::counter("serving.failovers").inc(rep.failovers);
+        metrics::gauge("serving.shed").set(double(rep.shed));
+        metrics::gauge("serving.timeouts").set(double(rep.timedOut));
+        metrics::gauge("serving.failed").set(double(rep.failed));
+        metrics::gauge("serving.retries").set(double(rep.retries));
+        metrics::gauge("serving.hedges").set(double(rep.hedges));
+        metrics::gauge("serving.failovers").set(double(rep.failovers));
         metrics::gauge("serving.availability")
             .set(rep.availability);
     }

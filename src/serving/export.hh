@@ -40,10 +40,13 @@ std::string requestsCsv(const ServingReport &rep);
 std::string timelineCsv(const ServingReport &rep);
 
 /**
- * Publish the report's headline numbers to the metrics registry
- * (serving.* gauges, plus the chaos counters when chaos is on). The
- * latency percentiles stay in the report, which holds every sample;
- * serving.p99_ms mirrors its exact p99.
+ * Publish the report's headline numbers to the metrics registry as
+ * serving.* gauges, plus the chaos outcomes (shed, timeouts, failed,
+ * retries, hedges, failovers, availability) when chaos is on. Every
+ * one is set from this report, so after several publishes each holds
+ * the last report's value. The latency percentiles stay in the
+ * report, which holds every sample; serving.p99_ms mirrors its exact
+ * p99.
  */
 void publishMetrics(const ServingReport &rep);
 

@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -716,6 +719,71 @@ TEST(ChaosExports, CsvsMatchAPrintfReference)
     EXPECT_GT(hedged, 0u);
     for (const std::uint64_t n : byOutcome)
         EXPECT_GT(n, 0u);
+}
+
+TEST(ChaosExports, LongestRowsMatchAPrintfReference)
+{
+    // A hand-built report whose fields take the row writers' longest
+    // outputs: a quoted stream name longer than any zoo name, ids
+    // near UINT64_MAX, INT_MIN and INT_MAX ints (a negative server
+    // was never dispatched), 24-byte numbers such as
+    // -2.2250738585072014e-308, -0.0, inf and nan. Each row is
+    // written into one buffer sized from these bounds; the longest
+    // row here comes within 13 bytes of that size (10 of them are the
+    // stream index's), so a buffer 13 bytes shorter fails under ASan.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const int lo = std::numeric_limits<int>::min();
+    const int hi = std::numeric_limits<int>::max();
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    ServingReport rep;
+    rep.spec.streams = {
+        StreamSpec{"lenet5", 1.0, 0},
+        StreamSpec{"a \"custom\" network, pruned to int8 for the edge, "
+                   "revision 2, with a longer name than any zoo net",
+                   1.0, 1}};
+    rep.requests = {
+        {.id = top, .stream = 1, .server = lo, .batchSize = lo,
+         .arrivalS = -DBL_MIN, .completionS = -0.0,
+         .outcome = RequestOutcome::Shed, .retries = lo, .hedged = true,
+         .queuedS = -DBL_MIN},
+        {.id = top - 1, .stream = 1, .server = hi, .batchSize = hi,
+         .arrivalS = -DBL_MIN, .dispatchS = -DBL_MAX, .completionS = inf,
+         .outcome = RequestOutcome::Timeout, .retries = hi,
+         .queuedS = nan},
+        {.id = 0, .stream = 0, .server = 0, .batchSize = 1,
+         .arrivalS = DBL_MAX, .dispatchS = -DBL_MIN,
+         .completionS = DBL_MIN, .outcome = RequestOutcome::Failed,
+         .hedged = true, .queuedS = -inf},
+        {.id = top, .stream = 1, .server = hi, .batchSize = lo,
+         .arrivalS = -0.0, .dispatchS = nan, .completionS = 5e-324,
+         .retries = hi, .queuedS = -nan},
+        // The longest row a request can have: a dispatched request
+        // (server >= 0) whose completion, and so latency, is > 0.
+        {.id = top, .stream = 1, .server = hi, .batchSize = lo,
+         .arrivalS = -1.2345678901234567e-100, .dispatchS = -DBL_MAX,
+         .completionS = DBL_MIN, .outcome = RequestOutcome::Timeout,
+         .retries = lo, .hedged = true, .queuedS = -DBL_MIN},
+        {.id = 7, .stream = 0, .server = 3, .batchSize = 16,
+         .arrivalS = 0.123456789, .dispatchS = 0.1234568,
+         .completionS = 0.2, .retries = 2, .queuedS = 1.5e-3},
+    };
+    rep.queueTimeline = {{-DBL_MIN, top}, {-0.0, 0},    {inf, 1},
+                         {nan, top},      {-DBL_MAX, 2}, {0.25, 7}};
+    for (const int queueCap : {0, 1}) { // chaos columns off, then on
+        rep.spec.queueCap = queueCap;
+        ASSERT_EQ(chaosEnabled(rep.spec), queueCap > 0);
+        const std::string csv = requestsCsv(rep);
+        EXPECT_EQ(csv, referenceRequestsCsv(rep));
+        EXPECT_EQ(timelineCsv(rep), referenceTimelineCsv(rep));
+        testutil::expectRectangular(csv, rep.requests.size(),
+                                    "requestsCsv");
+        // Row 3's latency and wait are both 24 bytes.
+        EXPECT_NE(csv.find(",2.2250738585072014e-308,"
+                           "-1.7976931348623157e+308,"
+                           "-1.7976931348623157e+308,0,1"),
+                  std::string::npos);
+    }
 }
 
 // ---------------------------------------------------------------

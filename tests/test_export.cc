@@ -13,6 +13,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/env.hh"
 #include "common/export_util.hh"
@@ -286,19 +289,38 @@ TEST(ExportJson, TrainingPhaseLabel)
 // ---------------------------------------------------------------
 // The export number writer
 
-/** "" when both writers print printf's "%.17g" bytes for @p v. */
+/**
+ * "" when every writer prints printf's "%.17g" bytes for @p v, and
+ * writeNum17 stays inside its scratch window: it returns at most
+ * kNum17Bytes past its start and stores nothing before it or past
+ * start + kNum17Bytes.
+ */
 std::string
 num17Mismatch(double v)
 {
     char want[64];
     std::snprintf(want, sizeof(want), "%.17g", v);
+    static const char guard[] = "########";
+    char buf[8 + kNum17Bytes + 8];
+    std::memset(buf, '#', sizeof(buf));
+    char *const start = buf + 8;
+    char *const end = writeNum17(start, v);
+    if (end < start || end > start + kNum17Bytes)
+        return "writeNum17 returned " + std::to_string(end - start) +
+               " bytes";
+    for (const char *c : {buf, start + kNum17Bytes})
+        if (std::memcmp(c, guard, 8) != 0)
+            return "writeNum17 wrote outside its scratch window";
+    const std::string written(start, end);
     std::string appended = "x,";
     appendNum17(appended, v);
     const std::string direct = num17(v);
-    if (direct == want && appended.compare(2, std::string::npos, want) == 0)
+    if (written == want && direct == want &&
+        appended.compare(2, std::string::npos, want) == 0)
         return "";
-    return std::string("printf \"") + want + "\" vs num17 \"" +
-           direct + "\", appendNum17 \"" + appended.substr(2) + "\"";
+    return std::string("printf \"") + want + "\" vs writeNum17 \"" +
+           written + "\", num17 \"" + direct + "\", appendNum17 \"" +
+           appended.substr(2) + "\"";
 }
 
 TEST(ExportNum17, EdgeCasesMatchPrintf)
@@ -314,6 +336,33 @@ TEST(ExportNum17, EdgeCasesMatchPrintf)
           1e17, std::nextafter(1e17, 0.0), std::nextafter(1e17, 1e18),
           1.0, 0.1, -0.5, 123456789.0})
         EXPECT_EQ(num17Mismatch(v), "");
+    // The integer path's rounding and decade cases, with the bytes
+    // spelled out: exact halves round to even; 1e-4's decade estimate
+    // is one low (the 18th digit is dropped), its predecessor's is
+    // right and prints in exponent notation; 2^56 <= 1e17 < 2^57 is
+    // the window's top decade. No double inside the window rounds up
+    // to a power of ten at 17 digits, so the carries come from the
+    // fallback's range: the double nearest 1e-14 lies below it.
+    const std::pair<double, const char *> pinned[] = {
+        {std::ldexp(1.0, -25), "2.9802322387695312e-08"},
+        {-std::ldexp(1.0, -25), "-2.9802322387695312e-08"},
+        {1234567890123456.25, "1234567890123456.2"},
+        {1234567890123456.75, "1234567890123456.8"},
+        {1e-4, "0.0001"},
+        {std::nextafter(1e-4, 0.0), "9.9999999999999991e-05"},
+        {1e17, "1e+17"},
+        {std::nextafter(1e17, 0.0), "99999999999999984"},
+        {std::nextafter(1e17, 1e18), "1.0000000000000002e+17"},
+        {1e-14, "1e-14"},
+        {1e98, "1e+98"},
+    };
+    for (const auto &[v, bytes] : pinned) {
+        EXPECT_EQ(num17(v), bytes);
+        EXPECT_EQ(num17Mismatch(v), "");
+    }
+    // The longest outputs fill the whole window.
+    for (const double v : {-DBL_MIN, -DBL_MAX, -5e-324})
+        EXPECT_EQ(num17(v).size(), kNum17Bytes);
 }
 
 TEST(ExportNum17, RandomBitPatternsMatchPrintf)
@@ -334,6 +383,58 @@ TEST(ExportNum17, RandomBitPatternsMatchPrintf)
         }
     }
     EXPECT_EQ(checked, 200000);
+}
+
+TEST(ExportNum17, IntegerWindowSweepMatchesPrintf)
+{
+    // Under 5 % of raw bit patterns land in the integer path's window
+    // (2^-36 <= |v| < 2^57, see export_util.hh), so sweep it: every
+    // binary exponent from one below the window to one above it, with
+    // 2000 random mantissas each, and 10^k +- 0..64 ulps for k in
+    // [-12, 18]; both signs.
+    const auto inWindow = [](double v) {
+        return std::fabs(v) >= std::ldexp(1.0, -36) &&
+               std::fabs(v) < std::ldexp(1.0, 57);
+    };
+    std::vector<double> values;
+    SplitMix64 rng(0x5eed17);
+    for (int e2 = -37; e2 <= 57; ++e2) {
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t bits =
+                (rng.next() & ((std::uint64_t(1) << 52) - 1)) |
+                (std::uint64_t(e2 + 1023) << 52);
+            double v = 0.0;
+            std::memcpy(&v, &bits, sizeof(v));
+            values.push_back(v);
+        }
+    }
+    for (int k = -12; k <= 18; ++k) {
+        const double p = std::strtod(("1e" + std::to_string(k)).c_str(),
+                                     nullptr);
+        double below = p, above = p;
+        values.push_back(p);
+        for (int ulps = 1; ulps <= 64; ++ulps) {
+            below = std::nextafter(below, 0.0);
+            above = std::nextafter(above, DBL_MAX);
+            values.push_back(below);
+            values.push_back(above);
+        }
+    }
+    std::size_t inside = 0, mismatches = 0;
+    for (const double magnitude : values) {
+        for (const double v : {magnitude, -magnitude}) {
+            inside += inWindow(v);
+            const std::string why = num17Mismatch(v);
+            if (!why.empty() && ++mismatches <= 5)
+                ADD_FAILURE() << why;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // 93 in-window exponents x 2000 mantissas, and 10^-10 .. 10^17
+    // with their neighbours (1e-11 < 2^-36 and 1e18 >= 2^57), each at
+    // both signs.
+    EXPECT_EQ(inside, 2 * (93 * 2000 + 28 * 129));
+    EXPECT_EQ(values.size(), 95 * 2000 + 31 * 129);
 }
 
 TEST(ExportFile, RoundTrip)

@@ -548,18 +548,11 @@ TEST(Simulator, ExportsAreWellFormed)
                                 "timelineCsv");
 }
 
-TEST(Simulator, PublishMetricsMirrorsTheReport)
+/** Every serving.* value publishMetrics sets from @p rep. */
+std::map<std::string, double>
+publishedValues(const ServingReport &rep)
 {
-    // bench_e2e's chaos spec completes more requests than any
-    // 4,096-sample store could hold. The registry must hold the
-    // report's own numbers, exactly, and no second copy of its
-    // latencies: the report's percentiles are the exact ones.
-    const ServingReport rep = simulate(benchServeSpec());
-    ASSERT_GT(rep.completed, 4096u);
-    ASSERT_TRUE(chaosEnabled(rep.spec)); // so the counters publish
-    metrics::resetAll();
-    publishMetrics(rep);
-    const std::map<std::string, double> gauges = {
+    return {
         {"serving.offered", double(rep.offered)},
         {"serving.completed", double(rep.completed)},
         {"serving.within_slo", double(rep.withinSlo)},
@@ -572,33 +565,81 @@ TEST(Simulator, PublishMetricsMirrorsTheReport)
         {"serving.utilization", rep.utilization},
         {"serving.energy_per_request_j", rep.energyPerRequestJ},
         {"serving.availability", rep.availability},
+        {"serving.shed", double(rep.shed)},
+        {"serving.timeouts", double(rep.timedOut)},
+        {"serving.failed", double(rep.failed)},
+        {"serving.retries", double(rep.retries)},
+        {"serving.hedges", double(rep.hedges)},
+        {"serving.failovers", double(rep.failovers)},
     };
-    const std::map<std::string, std::uint64_t> counters = {
-        {"serving.shed", rep.shed},
-        {"serving.timeouts", rep.timedOut},
-        {"serving.failed", rep.failed},
-        {"serving.retries", rep.retries},
-        {"serving.hedges", rep.hedges},
-        {"serving.failovers", rep.failovers},
-    };
-    // Every serving.* metric the registry exports is one of the above,
-    // so none is a latency histogram (read before the lookups below,
-    // which would register a name).
+}
+
+TEST(Simulator, PublishMetricsMirrorsTheReport)
+{
+    // bench_e2e's chaos spec completes more requests than any
+    // 4,096-sample store could hold. The registry must hold the
+    // report's own numbers, exactly, and no second copy of its
+    // latencies: the report's percentiles are the exact ones.
+    const ServingReport rep = simulate(benchServeSpec());
+    ASSERT_GT(rep.completed, 4096u);
+    ASSERT_TRUE(chaosEnabled(rep.spec)); // so the chaos gauges publish
+    metrics::resetAll();
+    publishMetrics(rep);
+    const std::map<std::string, double> gauges = publishedValues(rep);
+    ASSERT_EQ(gauges.size(), 18u);
+    // Every serving.* metric the registry exports is one of the above
+    // and sits among the gauges, so none is a counter or a latency
+    // histogram (read before the lookups below, which would register
+    // a name).
     const std::string json = metrics::toJson();
+    const std::size_t gaugesAt = json.find("\"gauges\"");
+    const std::size_t histogramsAt = json.find("\"histograms\"");
     std::size_t named = 0;
     for (std::size_t at = json.find("\"serving."); at != std::string::npos;
          at = json.find("\"serving.", at + 1)) {
         const std::string name =
             json.substr(at + 1, json.find('"', at + 1) - at - 1);
-        EXPECT_TRUE(gauges.count(name) + counters.count(name) == 1)
-            << name;
+        EXPECT_EQ(gauges.count(name), 1u) << name;
+        EXPECT_TRUE(at > gaugesAt && at < histogramsAt) << name;
         ++named;
     }
-    EXPECT_EQ(named, gauges.size() + counters.size());
+    EXPECT_EQ(named, gauges.size());
     for (const auto &[name, value] : gauges)
         EXPECT_EQ(metrics::gauge(name).value(), value) << name;
-    for (const auto &[name, value] : counters)
-        EXPECT_EQ(metrics::counter(name).value(), value) << name;
+}
+
+TEST(Simulator, PublishMetricsHoldsTheLastReport)
+{
+    // Reports with different chaos outcomes, published back to back
+    // as bench_e2e's serve workload does once per operation: every
+    // serving.* value is the last report's, none a sum. Failing work
+    // over and dropping it are exclusive, so two earlier reports
+    // between them reach all six chaos outcomes.
+    ServingSpec failover = benchServeSpec();
+    failover.arrivals.ratePerS = 20e3;
+    failover.deadlineS = 2e-3;
+    failover.hedgeDelayS = 0.2e-3;
+    failover.queueCap = 8;
+    failover.failures.mtbfS = 5e-3;
+    failover.failures.mttrS = 3e-3;
+    failover.retry.budget = 1;
+    ServingSpec drop = failover;
+    drop.failures.dropInFlight = true;
+    const ServingReport earlier[] = {simulate(failover), simulate(drop)};
+    const ServingReport last = simulate(benchServeSpec());
+    const auto both = [&](std::uint64_t ServingReport::*field) {
+        return earlier[0].*field + earlier[1].*field;
+    };
+    for (const auto field :
+         {&ServingReport::shed, &ServingReport::timedOut,
+          &ServingReport::failed, &ServingReport::retries,
+          &ServingReport::hedges, &ServingReport::failovers})
+        ASSERT_GT(both(field), 0u); // so a sum would differ from last's
+    for (const ServingReport &rep : earlier)
+        publishMetrics(rep);
+    publishMetrics(last);
+    for (const auto &[name, value] : publishedValues(last))
+        EXPECT_EQ(metrics::gauge(name).value(), value) << name;
 }
 
 // ---------------------------------------------------------------
